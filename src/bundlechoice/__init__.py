@@ -23,7 +23,6 @@ from .audit import (
 )
 from .engines import (
     EngineTrace,
-    engines_agree_on_simple,
     run_bundle_da,
     run_bundle_da_general,
     run_bundle_da_simple,
@@ -57,7 +56,6 @@ from .io import (
     canonical_document,
     canonicalize,
     content_digest,
-    emit_csv,
     trace_csv,
     parse_instance,
     parse_matching,

@@ -90,6 +90,7 @@ def check_bundle_stability(nu, rols, instance=None):
         if nu[i] is not UNMATCHED and nu[i] not in rol[i]:
             violations.append(("ir", i))
 
+    ancestors = instance.tree.ancestors
     full = {
         bid
         for bid in instance.bundle_order
@@ -99,7 +100,7 @@ def check_bundle_stability(nu, rols, instance=None):
         current = _rol_rank(rol[i], nu[i])
         for slot in range(current):
             desired = rol[i][slot]
-            if not any(sup in full for sup in instance.sup_bundles(desired)):
+            if not any(sup in full for sup in ancestors[desired]):
                 violations.append(("waste", i, desired))
 
     for i in instance.students:
@@ -108,25 +109,19 @@ def check_bundle_stability(nu, rols, instance=None):
             desired = rol[i][slot]
             want = instance.bundles[desired].schools
             for j in instance.students:
-                if j == i or nu[j] is UNMATCHED:
+                held = nu[j]
+                if j == i or held is UNMATCHED:
                     continue
-                have = instance.bundles[nu[j]].schools
-                if have == want:
-                    if nu[j] == desired and _prefers_on_all(instance, want, i, j):
+                if held == desired:
+                    if _prefers_on_all(instance, want, i, j):
                         violations.append(("envy", i, j, desired, 1))
-                elif have < want:
+                elif desired in ancestors[held]:
+                    have = instance.bundles[held].schools
                     if _prefers_on_all(instance, have, i, j):
                         violations.append(("envy", i, j, desired, 2))
-                elif have > want:
-                    between = [
-                        bid
-                        for bid in instance.bundle_order
-                        if want <= instance.bundles[bid].schools < have
-                    ]
-                    if all(
-                        nu.occupancy(bid) < instance.bundle_quota(bid)
-                        for bid in between
-                    ) and _prefers_on_all(instance, want, i, j):
+                elif held in ancestors[desired]:
+                    between = set(ancestors[desired]) - set(ancestors[held])
+                    if not between & full and _prefers_on_all(instance, want, i, j):
                         violations.append(("envy", i, j, desired, 3))
     return StabilityVerdict(violations)
 
@@ -183,7 +178,7 @@ def _search_assignments(instance, options, accept):
                 if found:
                     return found
                 continue
-            sups = instance.sup_bundles(choice)
+            sups = instance.tree.ancestors[choice]
             if any(remaining[sup] == 0 for sup in sups):
                 continue
             for sup in sups:

@@ -52,6 +52,22 @@ def _load_market(args):
     return instance, rols
 
 
+def _matching(cls, instance, assignment):
+    """A BundleMatching or StandardMatching, or a failure naming the fault."""
+    try:
+        return cls(instance, assignment)
+    except ValueError as err:
+        raise _Failure(str(err))
+
+
+def _bundle_matching(args, instance, needs):
+    """The bundle-level matching document of a command that accepts no other."""
+    kind, assignment = _fail_on_report(bcio.parse_matching(args.matching, instance))
+    if kind != "bundle":
+        raise _Failure(f"{needs} a bundle-level matching document")
+    return _matching(BundleMatching, instance, assignment)
+
+
 def _tiebreak(args, instance):
     """Resolve the student order for the general engine, enforcing the flag."""
     if getattr(args, "tiebreak", None):
@@ -173,13 +189,7 @@ def _cmd_run_bundle_da(args):
 
 def _cmd_implement(args):
     instance = _fail_on_report(bcio.parse_instance(args.instance))
-    kind, assignment = _fail_on_report(bcio.parse_matching(args.matching, instance))
-    if kind != "bundle":
-        raise _Failure("implement needs a bundle-level matching document")
-    try:
-        nu = BundleMatching(instance, assignment)
-    except ValueError as err:
-        raise _Failure(str(err))
+    nu = _bundle_matching(args, instance, "implement needs")
     policy = _policy(args) or ImplementationPolicy("det")
     seats = implement(nu, policy)
     inputs = {
@@ -199,15 +209,14 @@ def _cmd_implement(args):
 def _cmd_check_stability(args):
     instance, rols = _load_market(args)
     kind, assignment = _fail_on_report(bcio.parse_matching(args.matching, instance))
-    try:
-        if kind == "bundle":
-            matching = BundleMatching(instance, assignment)
-            verdict = check_bundle_stability(matching, rols)
-        else:
-            matching = StandardMatching(instance, assignment)
-            verdict = check_standard_stability(matching, rols)
-    except ValueError as err:
-        raise _Failure(str(err))
+    if kind == "bundle":
+        verdict = check_bundle_stability(
+            _matching(BundleMatching, instance, assignment), rols
+        )
+    else:
+        verdict = check_standard_stability(
+            _matching(StandardMatching, instance, assignment), rols
+        )
     inputs = {
         "instance": bcio.serialize_instance(instance),
         "rols": rols,
@@ -224,10 +233,7 @@ def _cmd_check_stability(args):
 
 def _cmd_oracle(args):
     instance, rols = _load_market(args)
-    kind, assignment = _fail_on_report(bcio.parse_matching(args.matching, instance))
-    if kind != "bundle":
-        raise _Failure("oracles need a bundle-level matching document")
-    nu = BundleMatching(instance, assignment)
+    nu = _bundle_matching(args, instance, "oracles need")
     oracle = {
         "size-max": oracle_size_maximal,
         "pusm": oracle_pareto_undominated_size_maximal,
@@ -250,10 +256,7 @@ def _cmd_oracle(args):
 
 def _cmd_improve(args):
     instance, rols = _load_market(args)
-    kind, assignment = _fail_on_report(bcio.parse_matching(args.matching, instance))
-    if kind != "bundle":
-        raise _Failure("improve needs a bundle-level matching document")
-    nu = BundleMatching(instance, assignment)
+    nu = _bundle_matching(args, instance, "improve needs")
     try:
         better = find_stable_pareto_improvement(nu, rols, bound=args.oracle_bound)
     except OracleBoundExceeded as err:

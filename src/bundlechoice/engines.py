@@ -15,6 +15,13 @@ play, then repeatedly admits the set of students who top the priority order
 at every live school of the bundle they ask for.  When the nested quota of a
 larger bundle cannot cover all sub-bundles about to admit, the shortfall is
 resolved by an exogenous tie-break order over students.
+
+Both bundle engines keep one round's remaining seats per bundle and change
+them only through the instance's `BundleTree`: `admit` charges the requested
+bundle and every bundle containing it, closing any that runs out, and the
+general engine's tie-break `close`s the overdemanded bundle once its
+contenders are seated.  A closed bundle has zeroed everything inside it, so a
+bundle (or school) has a seat left exactly when its own count is positive.
 """
 
 from dataclasses import dataclass, field
@@ -49,26 +56,6 @@ class EngineTrace:
 
 def _round_limit(instance):
     return len(instance.students) * instance.rol_length + 1
-
-
-def _zero_cascade(instance, remaining):
-    """Zero every bundle nested inside an exhausted bundle."""
-    for bid, left in list(remaining.items()):
-        if left == 0:
-            for sub in instance.sub_bundles(bid):
-                remaining[sub] = 0
-
-
-def _admit(instance, remaining, bundle_id):
-    """Seat one student: charge the bundle and everything containing it."""
-    for sup in instance.sup_bundles(bundle_id):
-        remaining[sup] -= 1
-        assert remaining[sup] >= 0, f"quota underflow at bundle {sup}"
-    _zero_cascade(instance, remaining)
-
-
-def _fresh_quotas(instance):
-    return {bid: instance.bundle_quota(bid) for bid in instance.bundle_order}
 
 
 def run_standard_da(instance, rols):
@@ -128,8 +115,8 @@ def run_bundle_da_simple(instance, rols):
     carried-over tentative admits together with the round's new applicants,
     one by one in the hierarchy's common order: a student is admitted exactly
     when her requested bundle still has a seat, and each admission charges
-    the bundle and all of its sup-bundles, zeroing nested bundles the moment
-    anything hits zero.
+    the bundle and all of its sup-bundles, closing (zeroing, with everything
+    nested inside) any bundle that hits zero.
     """
     info = detect_simplicity(instance)
     if not info.simple:
@@ -138,10 +125,11 @@ def run_bundle_da_simple(instance, rols):
                 info.reason
             )
         )
-    hierarchy_of = {}
-    for k, sub in enumerate(info.hierarchies):
-        for bid in sub.bundle_ids:
-            hierarchy_of[bid] = k
+    tree = instance.tree
+    ranks = {
+        root: {i: r for r, i in enumerate(sub.order)}
+        for root, sub in zip(tree.roots, info.hierarchies)
+    }
 
     rol = {i: tuple(rols.get(i, ())) for i in instance.students}
     pointer = {i: 0 for i in instance.students}
@@ -157,15 +145,17 @@ def run_bundle_da_simple(instance, rols):
         if not targets:
             break
         rnd = Round(number, dict(targets), {}, [])
-        remaining = _fresh_quotas(instance)
+        remaining = dict(tree.quota)
         admitted = {}
-        for k, sub in enumerate(info.hierarchies):
-            queue = [i for i in targets if hierarchy_of[targets[i]] == k]
-            queue.sort(key=lambda i: sub.order.index(i))
+        queues = {root: [] for root in tree.roots}
+        for i, bid in targets.items():
+            queues[tree.root[bid]].append(i)
+        for root, queue in queues.items():
+            queue.sort(key=ranks[root].__getitem__)
             for i in queue:
                 bid = targets[i]
                 if remaining[bid] > 0:
-                    _admit(instance, remaining, bid)
+                    tree.admit(remaining, bid)
                     admitted[i] = bid
                     rnd.events.append(("admit", i, bid, dict(remaining)))
                 else:
@@ -186,19 +176,6 @@ def run_bundle_da_simple(instance, rols):
     return BundleMatching(instance, held), trace
 
 
-def _alive_schools(instance, candidates, remaining):
-    """Schools whose every containing bundle still has seats."""
-    return {
-        s
-        for s in candidates
-        if all(
-            remaining[bid] > 0
-            for bid in instance.bundle_order
-            if s in instance.bundles[bid].schools
-        )
-    }
-
-
 def run_bundle_da_general(instance, rols, tiebreak=None):
     """Bundle deferred acceptance for arbitrary nested bundle systems.
 
@@ -211,6 +188,7 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
     if sorted(tiebreak) != sorted(instance.students):
         raise ValueError("tie-break order must be a permutation of the students")
     tb_rank = {i: k for k, i in enumerate(tiebreak)}
+    tree = instance.tree
 
     rol = {i: tuple(rols.get(i, ())) for i in instance.students}
     pointer = {i: 0 for i in instance.students}
@@ -226,16 +204,12 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
         if not new:
             break
         rnd = Round(number, {}, {}, [])
-        remaining = _fresh_quotas(instance)
+        remaining = dict(tree.quota)
 
         fresh_schools = set()
         for bid in new.values():
             fresh_schools |= instance.bundles[bid].schools
-        active_bundles = {
-            bid
-            for bid in instance.bundle_order
-            if remaining[bid] > 0 and instance.bundles[bid].schools & fresh_schools
-        }
+        active_bundles = {a for s in fresh_schools for a in tree.ancestors[s]}
         active_schools = set()
         for bid in active_bundles:
             active_schools |= instance.bundles[bid].schools
@@ -249,14 +223,14 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
                 targets[i] = bid
                 rnd.events.append(("release", i, bid))
             else:
-                _admit(instance, remaining, bid)
+                tree.admit(remaining, bid)
                 admitted[i] = bid
                 rnd.events.append(("stay", i, bid))
         rnd.applications = dict(targets)
         unresolved = set(targets)
 
         while True:
-            alive = _alive_schools(instance, active_schools, remaining)
+            alive = {s for s in active_schools if remaining[s] > 0}
             tops = {}
             for s in alive:
                 pool = [
@@ -288,15 +262,14 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
                         ), "simultaneous admits with overlapping bundles"
 
             batch_bundles = {targets[i] for i in batch}
-            overdemanded = {}
-            for bid in active_bundles:
-                inside = {
-                    tb
-                    for tb in batch_bundles
-                    if instance.bundles[tb].schools < instance.bundles[bid].schools
-                }
-                if inside and remaining[bid] < len(inside):
-                    overdemanded[bid] = inside
+            nested = {}  # active bundle -> batch bundles strictly inside it
+            for tb in batch_bundles:
+                for bid in tree.ancestors[tb]:
+                    if bid != tb and bid in active_bundles:
+                        nested.setdefault(bid, set()).add(tb)
+            overdemanded = {
+                bid: tbs for bid, tbs in nested.items() if remaining[bid] < len(tbs)
+            }
             if overdemanded:
                 deficits = {
                     bid: len(inside) - remaining[bid]
@@ -306,10 +279,10 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
                     bid
                     for bid in overdemanded
                     if not any(
-                        instance.bundles[bid].schools
-                        < instance.bundles[other].schools
+                        other != bid
+                        and other in deficits
                         and deficits[bid] <= deficits[other]
-                        for other in overdemanded
+                        for other in tree.ancestors[bid]
                     )
                 ]
                 bid = min(maximal, key=instance.bundle_order.index)
@@ -323,20 +296,19 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
                         break
                     if remaining[targets[i]] == 0:
                         continue
-                    _admit(instance, remaining, targets[i])
+                    tree.admit(remaining, targets[i])
                     admitted[i] = targets[i]
                     unresolved.discard(i)
                     taken.append(i)
                     rnd.events.append(("admit", i, targets[i], dict(remaining)))
-                remaining[bid] = 0
-                _zero_cascade(instance, remaining)
+                tree.close(remaining, bid)
                 rnd.events.append(
                     ("overdemand", bid, sorted(overdemanded[bid]), taken)
                 )
                 continue
 
             for i in sorted(batch, key=instance.student_key):
-                _admit(instance, remaining, targets[i])
+                tree.admit(remaining, targets[i])
                 admitted[i] = targets[i]
                 unresolved.discard(i)
                 rnd.events.append(("admit", i, targets[i], dict(remaining)))
@@ -369,16 +341,3 @@ def run_bundle_da(instance, rols, tiebreak=None, engine="auto"):
     if detect_simplicity(instance).simple:
         return run_bundle_da_simple(instance, rols)
     return run_bundle_da_general(instance, rols, tiebreak)
-
-
-def engines_agree_on_simple(instance, rols, tiebreak=None):
-    """Cross-check: do both bundle engines return the same matching?
-
-    Both engines are deterministic, so this is a plain equality check.  The
-    two can legitimately differ on a simple system when an overfull bundle
-    forces the general engine to consult the tie-break order; see the test
-    suite for a minimal three-student instance exhibiting this.
-    """
-    simple, _ = run_bundle_da_simple(instance, rols)
-    general, _ = run_bundle_da_general(instance, rols, tiebreak)
-    return simple == general

@@ -22,12 +22,13 @@ distributions, so the two agree by construction up to sampling error.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
-from .model import validate_instance
+from .model import BundleTree, validate_instance
 
 EXP1_UTILITIES = {
     "A": {"A": 110, "B": 100, "C": 20, None: 0},
@@ -44,7 +45,21 @@ def _canon(name):
     return str(name).strip().lower().replace("_", "-").replace(" ", "-")
 
 
-class Exp1Config:
+class _ExperimentMarket:
+    """What both experiment configs share: the menu and the bundle tree."""
+
+    def menu(self):
+        return self.schools + tuple(self.bundles)
+
+    @cached_property
+    def tree(self):
+        """The bundle tree of the market, built on first use."""
+        sets = {s: frozenset({s}) for s in self.schools}
+        sets.update((bid, frozenset(members)) for bid, members in self.bundles.items())
+        return BundleTree(self.quota, sets)
+
+
+class Exp1Config(_ExperimentMarket):
     """Three students, schools A/B/C, payoff types A/B, random priority."""
 
     TREATMENTS = {
@@ -68,14 +83,11 @@ class Exp1Config:
         self.type_weights = {"A": HALF, "B": HALF}
         self.utilities = EXP1_UTILITIES
 
-    def menu(self):
-        return self.schools + tuple(self.bundles)
-
     def payoff(self, payoff_type, school):
         return self.utilities[payoff_type][school]
 
 
-class Exp2Config:
+class Exp2Config(_ExperimentMarket):
     """Six students, schools A..F, common utilities, score priorities."""
 
     TREATMENTS = {
@@ -96,9 +108,6 @@ class Exp2Config:
         self.rol_length = 2
         self.n_students = 6
         self.utilities = EXP2_UTILITIES
-
-    def menu(self):
-        return self.schools + tuple(self.bundles)
 
     def payoff(self, _score, school):
         return self.utilities[school]
@@ -216,46 +225,22 @@ def serial_admission(config, rols, order):
     free maps bundle id -> schools whose seat is still open for the final
     within-bundle assignment.
     """
-    remaining = dict(config.quota)
-    taken = {s: 0 for s in config.schools}
-    bundle_left = {
-        bid: sum(config.quota[s] for s in members)
-        for bid, members in config.bundles.items()
-    }
-    containing = {s: [] for s in config.schools}
-    for bid, members in config.bundles.items():
-        for s in members:
-            containing[s].append(bid)
-
-    def block_if_exhausted(bid):
-        if bundle_left[bid] == 0:
-            for s in config.bundles[bid]:
-                remaining[s] = 0
-
+    tree = config.tree
+    remaining = dict(tree.quota)
     outcome = {}
     holders = {bid: [] for bid in config.bundles}
     for i in order:
         outcome[i] = None
         for option in rols.get(i, ()):
-            if option in config.bundles:
-                if bundle_left[option] >= 1:
-                    bundle_left[option] -= 1
+            if remaining[option] >= 1:
+                tree.admit(remaining, option)
+                if option in holders:
                     holders[option].append(i)
-                    block_if_exhausted(option)
-                    outcome[i] = option
-                    break
-            elif remaining[option] >= 1:
-                remaining[option] -= 1
-                taken[option] += 1
-                for bid in containing[option]:
-                    bundle_left[bid] -= 1
-                    block_if_exhausted(bid)
                 outcome[i] = option
                 break
+    seated = list(outcome.values())
     free = {
-        bid: tuple(
-            s for s in members if config.quota[s] - taken[s] >= 1
-        )
+        bid: tuple(s for s in members if config.quota[s] > seated.count(s))
         for bid, members in config.bundles.items()
     }
     return outcome, holders, free
@@ -442,7 +427,7 @@ def sample_scores(n, seed):
             return tuple(int(x) for x in draw)
 
 
-def _round_record(config, kind, priority, assignment, payoffs, scores=None):
+def _round_record(priority, assignment, payoffs, scores=None):
     record = {
         "priority": tuple(priority),
         "assignment": dict(assignment),
@@ -629,7 +614,7 @@ def simulate_rounds(config, profile, rounds, seed, log_cap=100):
             payoffs = {
                 i: config.payoff(types[i], assignment[i]) for i in students
             }
-            record = _round_record(config, 1, order, assignment, payoffs)
+            record = _round_record(order, assignment, payoffs)
             record["types"] = types
             record["rols"] = {i: rols[i] for i in students}
             accumulate(record)
@@ -646,8 +631,7 @@ def simulate_rounds(config, profile, rounds, seed, log_cap=100):
             assignment = table.draw(tuple(rols), order, seat_draws[r])
             payoffs = {i: config.payoff(None, assignment[i]) for i in students}
             record = _round_record(
-                config, 2, order, assignment, payoffs,
-                scores={i: scores[i] for i in students},
+                order, assignment, payoffs, scores={i: scores[i] for i in students}
             )
             record["rols"] = {i: rols[i] for i in students}
             accumulate(record)
@@ -669,7 +653,7 @@ def play_fixed_round(config, rols_by_rank, scores):
     out = []
     for weight, assignment in assignment_branches(config, rols, order):
         payoffs = {i: config.payoff(None, assignment[i]) for i in students}
-        record = _round_record(config, 2, order, assignment, payoffs, scores=scores)
+        record = _round_record(order, assignment, payoffs, scores=scores)
         record["rols"] = rols
         out.append((weight, record))
     return out
@@ -700,7 +684,7 @@ def round_instance(config, priority):
     return instance
 
 
-def experiment_rols_for_instance(config, rols):
+def experiment_rols_for_instance(rols):
     """Experiment ROLs ({index: options}) renamed for `round_instance`."""
     return {f"p{i + 1}": list(entries) for i, entries in rols.items()}
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engines import EngineTrace
-from .experiments import OutcomeMetrics, StrategyProfile, compute_metrics
+from .experiments import StrategyProfile
 from .model import ValidationReport, validate_instance, validate_rols
 
 
@@ -92,11 +91,14 @@ def parse_rols(path, instance):
     raw = _load_document(path)
     if isinstance(raw, ValidationReport):
         return raw
-    if not isinstance(raw, dict) or "rols" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("rols"), dict):
         report = ValidationReport([])
-        report.add(f'{path}: expected an object with a "rols" field')
+        report.add(
+            f'{path}: expected an object with a "rols" field mapping each '
+            "student to a list of bundle ids"
+        )
         return report
-    rols = {i: list(entries) for i, entries in raw["rols"].items()}
+    rols = raw["rols"]
     report = validate_rols(instance, rols)
     if report.problems:
         return _located(report, path)
@@ -112,10 +114,9 @@ def parse_matching(path, instance):
     raw = _load_document(path)
     if isinstance(raw, ValidationReport):
         return raw
-    if isinstance(raw, dict) and "matching" in raw:
-        return "bundle", dict(raw["matching"])
-    if isinstance(raw, dict) and "seats" in raw:
-        return "standard", dict(raw["seats"])
+    for field, kind in (("matching", "bundle"), ("seats", "standard")):
+        if isinstance(raw, dict) and isinstance(raw.get(field), dict):
+            return kind, dict(raw[field])
     report = ValidationReport([])
     report.add(f'{path}: expected an object with a "matching" or "seats" field')
     return report
@@ -205,22 +206,3 @@ def metrics_csv(treatment, metrics):
     for name, value in metrics.rows():
         lines.append(f"{treatment},{name},{value}")
     return "\n".join(lines) + "\n"
-
-
-def rounds_csv(records, kind):
-    """Round-indexed metric rows for time-series plots."""
-    lines = ["round,metric,value"]
-    for number, record in enumerate(records, start=1):
-        metrics = compute_metrics([record], kind)
-        for name, value in metrics.rows():
-            lines.append(f"{number},{name},{value}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_csv(payload, kind=None, treatment=""):
-    """CSV text for a trace, an OutcomeMetrics, or per-round records."""
-    if isinstance(payload, EngineTrace):
-        return trace_csv(payload)
-    if isinstance(payload, OutcomeMetrics):
-        return metrics_csv(treatment, payload)
-    return rounds_csv(payload, kind)

@@ -14,9 +14,16 @@ bundle rank the bundle's eligible students in the same relative order.
 Identifiers are strings throughout; canonical order is file order.  Trivial
 bundles are synthesized automatically (one per school, id = school id,
 targeting everyone) and must not be spelled out in the input.
+
+A laminar bundle system is a forest under containment.  `BundleTree`, built
+once per market, holds every bundle's ancestors, descendants, root and nested
+quota (its schools' total quota); its `admit` (charge the bundle and every
+bundle containing it) and `close` (zero a bundle and everything inside it)
+are the package's only nested-quota accounting.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 UNMATCHED = None
@@ -60,6 +67,48 @@ class ValidationReport:
         return "\n".join(self.problems) if self.problems else "ok"
 
 
+class BundleTree:
+    """The containment forest of a laminar bundle system.
+
+    `quotas` maps school ids to seat counts; `school_sets` maps bundle ids,
+    in canonical order, to their school sets, one-school bundles included.
+    Every tuple is in canonical order; `root` maps each bundle to the
+    maximal bundle containing it.
+    """
+
+    def __init__(self, quotas, school_sets):
+        self.quota = {
+            b: sum(quotas[s] for s in schools) for b, schools in school_sets.items()
+        }
+        up = {b: [] for b in school_sets}
+        down = {b: [] for b in school_sets}
+        for a, outer in school_sets.items():
+            for b, inner in school_sets.items():
+                if inner <= outer:
+                    up[b].append(a)
+                    down[a].append(b)
+        self.ancestors = {b: tuple(chain) for b, chain in up.items()}
+        self.descendants = {b: tuple(below) for b, below in down.items()}
+        self.roots = tuple(b for b, chain in up.items() if len(chain) == 1)
+        self.root = {d: r for r in self.roots for d in down[r]}
+
+    def admit(self, remaining, bundle_id):
+        """Seat one student in a bundle with a seat left: charge its ancestors."""
+        if remaining[bundle_id] < 1:
+            raise ValueError(f"bundle {bundle_id} has no seat left")
+        chain = self.ancestors[bundle_id]
+        for a in chain:
+            remaining[a] -= 1
+        for a in chain:
+            if remaining[a] == 0:
+                self.close(remaining, a)
+
+    def close(self, remaining, bundle_id):
+        """Take every seat of a bundle and of every bundle inside it."""
+        for d in self.descendants[bundle_id]:
+            remaining[d] = 0
+
+
 class Instance:
     """A fully validated market: students, schools, bundle system, ROL cap.
 
@@ -80,6 +129,14 @@ class Instance:
         self._by_schools = {b.schools: b for b in bundles}
         self._student_index = {i: k for k, i in enumerate(self.students)}
 
+    @cached_property
+    def tree(self):
+        """The bundle tree, built on first use."""
+        return BundleTree(
+            {s: self.schools[s].quota for s in self.school_order},
+            {b: self.bundles[b].schools for b in self.bundle_order},
+        )
+
     def rank(self, school_id, student):
         """Priority position of a student at a school (0 = best)."""
         return self._ranks[school_id][student]
@@ -90,7 +147,7 @@ class Instance:
         return ranks[i] < ranks[j]
 
     def bundle_quota(self, bundle_id):
-        return sum(self.schools[s].quota for s in self.bundles[bundle_id].schools)
+        return self.tree.quota[bundle_id]
 
     def bundle_for_schools(self, school_set):
         return self._by_schools.get(frozenset(school_set))
@@ -104,31 +161,57 @@ class Instance:
             b for b in self.bundle_order if student in self.bundles[b].targets
         ]
 
-    def sup_bundles(self, bundle_id):
-        """Ids of bundles whose school set weakly contains this one's."""
-        own = self.bundles[bundle_id].schools
-        return [
-            b for b in self.bundle_order if own <= self.bundles[b].schools
-        ]
-
-    def sub_bundles(self, bundle_id):
-        own = self.bundles[bundle_id].schools
-        return [
-            b for b in self.bundle_order if self.bundles[b].schools <= own
-        ]
-
     def student_key(self, student):
         return self._student_index[student]
 
 
-def _ordered_unique(items):
-    seen = set()
-    out = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
+def _is_ids(value):
+    return isinstance(value, list) and set(map(type, value)) <= {str}
+
+
+# The fields of each listed entry (all required but `targets`): the test a
+# value must pass and what the message says it must be.
+_ENTRY_FIELDS = {
+    "schools": {
+        "id": (lambda v: isinstance(v, str), "a string"),
+        "quota": (lambda v: type(v) is int, "a positive integer"),
+        "priority": (_is_ids, "a list of student ids"),
+    },
+    "bundles": {
+        "id": (lambda v: isinstance(v, str), "a string"),
+        "schools": (_is_ids, "a list of school ids"),
+        "targets": (lambda v: v == "all" or _is_ids(v), '"all" or a list of ids'),
+    },
+}
+
+
+def _label(kind, entry, index):
+    return f"{kind} {entry['id'] if isinstance(entry.get('id'), str) else index}"
+
+
+def _check_shape(raw):
+    """Report missing and ill-typed fields before any structural rule runs."""
+    report = ValidationReport()
+    if not _is_ids(raw.get("students", [])):
+        report.add("students must be a list of student ids")
+    for key, fields in _ENTRY_FIELDS.items():
+        kind = key[:-1]
+        entries = raw.get(key, [])
+        if not isinstance(entries, list):
+            report.add(f"{key} must be a list of objects")
+            continue
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                report.add(f"{kind} {k}: expected an object")
+                continue
+            for name, (valid, expected) in fields.items():
+                if name in entry:
+                    if not valid(entry[name]):
+                        label = _label(kind, entry, k)
+                        report.add(f"{label}: {name} must be {expected}")
+                elif name != "targets":
+                    report.add(f'{_label(kind, entry, k)}: missing field "{name}"')
+    return report
 
 
 def validate_instance(raw):
@@ -139,7 +222,9 @@ def validate_instance(raw):
     validated `Instance` on success and a `ValidationReport` listing every
     violated condition otherwise.  The input is never mutated.
     """
-    report = ValidationReport()
+    report = _check_shape(raw)
+    if not report.ok:
+        return report
 
     students = list(raw.get("students", []))
     if not students:
@@ -147,6 +232,7 @@ def validate_instance(raw):
     if len(students) != len(set(students)):
         report.add("duplicate student ids")
 
+    roster = sorted(students)
     schools = []
     for entry in raw.get("schools", []):
         sid = entry["id"]
@@ -154,7 +240,7 @@ def validate_instance(raw):
         priority = tuple(entry["priority"])
         if quota < 1:
             report.add(f"school {sid}: quota must be at least 1")
-        if sorted(priority) != sorted(students):
+        if sorted(priority) != roster:
             report.add(
                 f"school {sid}: priority order is not a permutation of the students"
             )
@@ -165,19 +251,19 @@ def validate_instance(raw):
     if len(school_ids) != len(set(school_ids)):
         report.add("duplicate school ids")
 
-    student_set = set(students)
+    student_set = frozenset(students)
     school_set = set(school_ids)
 
     # Trivial bundles are implicit: one per school, open to everyone.
     bundles = [
-        Bundle(sid, frozenset({sid}), frozenset(student_set)) for sid in school_ids
+        Bundle(sid, frozenset({sid}), student_set) for sid in school_ids
     ]
     for entry in raw.get("bundles", []):
         bid = entry["id"]
         bschools = frozenset(entry["schools"])
         targets = entry.get("targets", "all")
         if targets == "all":
-            targets = frozenset(student_set)
+            targets = student_set
         else:
             targets = frozenset(targets)
         if bid in school_set:
@@ -214,13 +300,12 @@ def validate_instance(raw):
 
     for a in bundles:
         for b in bundles:
-            if a.id >= b.id:
+            if a.id >= b.id or a.schools.isdisjoint(b.schools):
                 continue
-            inter = a.schools & b.schools
-            if inter and not (a.schools < b.schools or b.schools < a.schools):
+            if not (a.schools < b.schools or b.schools < a.schools):
                 report.add(
                     f"bundles {a.id} and {b.id} overlap without nesting "
-                    f"(shared schools {sorted(inter)})"
+                    f"(shared schools {sorted(a.schools & b.schools)})"
                 )
         # monotonicity: growing the school set may only shrink the audience
         for b in bundles:
@@ -231,29 +316,29 @@ def validate_instance(raw):
                     f"{sorted(b.targets - a.targets)}"
                 )
 
-    rank_maps = {s.id: {i: r for r, i in enumerate(s.priority)} for s in schools}
+    # Built before the last checks so they can read its rank maps; it is
+    # returned only if every check passes.
+    rol_length = raw.get("rol_length", 1)
+    instance = Instance(students, schools, bundles, rol_length)
+    rank_maps = instance._ranks
     for b in bundles:
         if b.trivial or not b.schools <= school_set:
             continue
-        if any(not b.targets <= set(rank_maps[s]) for s in b.schools):
+        if any(not b.targets <= rank_maps[s].keys() for s in b.schools):
             continue  # unreadable priorities were already reported above
-        pair = sorted(b.schools)
-        base = pair[0]
-        for other in pair[1:]:
-            for i in b.targets:
-                for j in b.targets:
-                    if i >= j:
-                        continue
-                    same = (rank_maps[base][i] < rank_maps[base][j]) == (
-                        rank_maps[other][i] < rank_maps[other][j]
+        base, *others = sorted(b.schools)
+        targeted = sorted(b.targets, key=rank_maps[base].__getitem__)
+        for other in others:
+            ranks = rank_maps[other]
+            for pair in zip(targeted, targeted[1:]):
+                if ranks[pair[0]] > ranks[pair[1]]:
+                    i, j = sorted(pair)
+                    report.add(
+                        f"bundle {b.id}: schools {base} and {other} rank "
+                        f"targeted students {i} and {j} differently"
                     )
-                    if not same:
-                        report.add(
-                            f"bundle {b.id}: schools {base} and {other} rank "
-                            f"targeted students {i} and {j} differently"
-                        )
+                    break
 
-    rol_length = raw.get("rol_length", 1)
     if not isinstance(rol_length, int) or rol_length < 1:
         report.add("rol_length must be a positive integer")
     elif schools and rol_length >= len(schools):
@@ -262,9 +347,7 @@ def validate_instance(raw):
             f"schools ({len(schools)})"
         )
 
-    if not report.ok:
-        return report
-    return Instance(students, schools, bundles, rol_length)
+    return instance if report.ok else report
 
 
 def validate_rols(instance, rols):
@@ -279,7 +362,10 @@ def validate_rols(instance, rols):
         if i not in instance._student_index:
             report.add(f"unknown student {i} in ROL file")
     for i in instance.students:
-        entries = list(rols.get(i, []))
+        entries = rols.get(i, [])
+        if not _is_ids(entries):
+            report.add(f"student {i}: ROL must be a list of bundle ids")
+            continue
         if len(entries) > instance.rol_length:
             report.add(
                 f"student {i}: {len(entries)} entries exceed the cap of "
@@ -328,25 +414,14 @@ def detect_simplicity(instance):
                 False, reason=f"schools in bundle {bid} use different priority orders"
             )
 
-    maximal = [
-        bid
-        for bid in instance.bundle_order
-        if not any(
-            instance.bundles[bid].schools < instance.bundles[other].schools
-            for other in instance.bundle_order
-        )
-    ]
+    tree = instance.tree
     hierarchies = []
-    for bid in maximal:
-        top = instance.bundles[bid]
-        inside = tuple(
-            other
-            for other in instance.bundle_order
-            if instance.bundles[other].schools <= top.schools
-        )
-        any_school = min(top.schools)
+    for root in tree.roots:
+        schools = instance.bundles[root].schools
         hierarchies.append(
-            SubHierarchy(top.schools, inside, instance.schools[any_school].priority)
+            SubHierarchy(
+                schools, tree.descendants[root], instance.schools[min(schools)].priority
+            )
         )
     return SimplicityInfo(True, tuple(hierarchies))
 
@@ -397,6 +472,12 @@ def induced_preference(rol_entries, instance):
     return InducedPreference(classes)
 
 
+def _check_students(instance, assignment):
+    for i in assignment:
+        if i not in instance._student_index:
+            raise ValueError(f"unknown student {i} in matching")
+
+
 class BundleMatching:
     """Assignment of students to bundles (or unmatched) with seat accounting.
 
@@ -407,7 +488,9 @@ class BundleMatching:
 
     def __init__(self, instance, assignment):
         self.instance = instance
+        _check_students(instance, assignment)
         self.assignment = {i: assignment.get(i) for i in instance.students}
+        self._occupancy = dict.fromkeys(instance.bundle_order, 0)
         for i, bid in self.assignment.items():
             if bid is None:
                 continue
@@ -415,8 +498,10 @@ class BundleMatching:
                 raise ValueError(f"student {i} assigned to unknown bundle {bid}")
             if i not in instance.bundles[bid].targets:
                 raise ValueError(f"student {i} is not eligible for bundle {bid}")
+            for a in instance.tree.ancestors[bid]:
+                self._occupancy[a] += 1
         for bid in instance.bundle_order:
-            if self.occupancy(bid) > instance.bundle_quota(bid):
+            if self._occupancy[bid] > instance.bundle_quota(bid):
                 raise ValueError(f"bundle {bid} is over capacity")
 
     def __getitem__(self, student):
@@ -429,15 +514,7 @@ class BundleMatching:
 
     def occupancy(self, bundle_id):
         """Students who must occupy seats inside this bundle's schools."""
-        inside = self.instance.bundles[bundle_id].schools
-        return sum(
-            1
-            for bid in self.assignment.values()
-            if bid is not None and self.instance.bundles[bid].schools <= inside
-        )
-
-    def matched_students(self):
-        return {i for i, bid in self.assignment.items() if bid is not None}
+        return self._occupancy[bundle_id]
 
     def as_dict(self):
         return dict(self.assignment)
@@ -448,6 +525,7 @@ class StandardMatching:
 
     def __init__(self, instance, assignment):
         self.instance = instance
+        _check_students(instance, assignment)
         self.assignment = {i: assignment.get(i) for i in instance.students}
         for i, sid in self.assignment.items():
             if sid is not None and sid not in instance.schools:

@@ -14,12 +14,13 @@ from bundlechoice import (
     BundleMatching,
     check_bundle_stability,
     check_standard_stability,
-    engines_agree_on_simple,
     enumerate_implementations,
     oracle_pareto_undominated_size_maximal,
     property_supbundle_monotone,
     property_truthtelling,
     run_bundle_da,
+    run_bundle_da_general,
+    run_bundle_da_simple,
     validate_instance,
 )
 
@@ -134,7 +135,10 @@ def check_instance(instance, rols):
             failures.append(("implementation-unstable", mu.as_dict(),
                              seat_verdict.violations))
 
-    agree = engines_agree_on_simple(instance, rols)
+    agree = (
+        run_bundle_da_simple(instance, rols)[0]
+        == run_bundle_da_general(instance, rols)[0]
+    )
 
     for i in instance.students:
         if len(rols.get(i, [])) < 2:

@@ -9,7 +9,6 @@ from conftest import build, load_json
 
 from bundlechoice import (
     check_bundle_stability,
-    engines_agree_on_simple,
     run_bundle_da,
     run_bundle_da_general,
     run_bundle_da_simple,
@@ -187,7 +186,9 @@ def test_standard_da_reproduces_worked_admission_round():
 
 
 def test_engines_agree_on_walkthrough(walkthrough, walkthrough_rols):
-    assert engines_agree_on_simple(walkthrough, walkthrough_rols)
+    simple, _ = run_bundle_da_simple(walkthrough, walkthrough_rols)
+    general, _ = run_bundle_da_general(walkthrough, walkthrough_rols)
+    assert simple == general
 
 
 def test_all_engines_coincide_on_trivial_rols(tiny_market, tiny_rols):
@@ -237,7 +238,8 @@ def test_tiebreak_can_split_the_engines_on_a_simple_system():
     assert check_bundle_stability(adverse, DIVERGENCE_ROLS, instance).stable
 
     # the canonical order sides with the common priority here
-    assert engines_agree_on_simple(instance, DIVERGENCE_ROLS)
+    canonical, _ = run_bundle_da_general(instance, DIVERGENCE_ROLS)
+    assert canonical == nu_simple
 
 
 def test_walkthrough_outcome_ignores_declaration_order(walkthrough_rols):
@@ -250,3 +252,29 @@ def test_walkthrough_outcome_ignores_declaration_order(walkthrough_rols):
     assert nu.as_dict() == NU_41
     general, _ = run_bundle_da_general(instance, walkthrough_rols)
     assert general.as_dict() == NU_41
+
+
+# The smallest market on which the general engine's overdemand branch goes
+# wrong: the student refused through the tie-break is rejected for good, and
+# a student of lower priority takes the seat in a later round.
+REPRODUCER_RAW = {
+    "students": ["i1", "i2", "i3", "i4", "i5"],
+    "schools": [
+        {"id": "s1", "quota": 1, "priority": ["i4", "i1", "i5", "i3", "i2"]},
+        {"id": "s2", "quota": 1, "priority": ["i2", "i5", "i4", "i1", "i3"]},
+        {"id": "s3", "quota": 1, "priority": ["i2", "i5", "i4", "i1", "i3"]},
+    ],
+    "bundles": [{"id": "b23", "schools": ["s2", "s3"], "targets": ["i2", "i3"]}],
+    "rol_length": 2,
+}
+
+REPRODUCER_ROLS = {"i1": ["s3", "s2"], "i2": ["b23", "s1"], "i3": ["b23", "s1"],
+                   "i4": ["s3"], "i5": ["s2"]}
+
+
+@pytest.mark.xfail(strict=True, reason="general engine seats i1 at s2 over i5")
+def test_general_engine_is_stable_on_the_overdemand_reproducer():
+    instance = build(REPRODUCER_RAW)
+    nu, _ = run_bundle_da_general(instance, REPRODUCER_ROLS,
+                                  tiebreak=["i1", "i2", "i3", "i4", "i5"])
+    assert check_bundle_stability(nu, REPRODUCER_ROLS, instance).stable

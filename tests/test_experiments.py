@@ -177,7 +177,7 @@ def test_simulated_rounds_replay_as_stable_matchings():
     _, log = simulate_rounds(config, profile, rounds=25, seed=17)
     for record in log:
         instance = round_instance(config, record["priority"])
-        rols = experiment_rols_for_instance(config, record["rols"])
+        rols = experiment_rols_for_instance(record["rols"])
         mu = experiment_matching_for_instance(instance, record["assignment"])
         assert check_standard_stability(mu, rols, instance).stable
 
@@ -259,7 +259,7 @@ def test_exp2_rounds_replay_as_stable_matchings():
     _, log = simulate_rounds(config, profile, rounds=25, seed=23)
     for record in log:
         instance = round_instance(config, record["priority"])
-        rols = experiment_rols_for_instance(config, record["rols"])
+        rols = experiment_rols_for_instance(record["rols"])
         mu = experiment_matching_for_instance(instance, record["assignment"])
         assert check_standard_stability(mu, rols, instance).stable
 

@@ -17,7 +17,6 @@ from bundlechoice import (
     canonical_document,
     canonicalize,
     content_digest,
-    emit_csv,
     parse_instance,
     parse_matching,
     parse_profile,
@@ -150,8 +149,7 @@ def test_parse_profile_documents(tmp_path):
 
 def test_trace_csv_rows(walkthrough, walkthrough_rols):
     _, trace = run_bundle_da_simple(walkthrough, walkthrough_rols)
-    text = emit_csv(trace)
-    assert text == trace_csv(trace)
+    text = trace_csv(trace)
     lines = text.strip().split("\n")
     assert lines[0] == "round,event,student,option"
     assert len(lines) == 1 + 32
@@ -159,18 +157,15 @@ def test_trace_csv_rows(walkthrough, walkthrough_rols):
     assert lines[-1] == "4,reject,i4,s5"
 
 
-def test_rounds_csv_empty_stream_is_header_only():
-    assert emit_csv([], kind=2) == "round,metric,value\n"
-
-
 def test_metrics_csv_via_dispatch():
     from bundlechoice import Exp2Config, compute_metrics, play_fixed_round
+    from bundlechoice.io import metrics_csv
 
     config = Exp2Config("nobundle")
     rols = [("D", "A"), ("D", "A"), ("A", "E"), ("D", "E"), ("A", "F"), ("E", "F")]
     ((_, record),) = play_fixed_round(config, rols, (99, 95, 90, 85, 80, 75))
     metrics = compute_metrics([record], 2)
-    lines = emit_csv(metrics, treatment="nobundle").strip().split("\n")
+    lines = metrics_csv("nobundle", metrics).strip().split("\n")
     assert lines[0] == "treatment,metric,value"
     assert lines[1] == "nobundle,avg_payoff,30.0"
     assert all(line.startswith("nobundle,") for line in lines[1:])
@@ -417,3 +412,58 @@ def test_cli_reports_malformed_input_files(capsys, tmp_path):
                        path("two_hierarchy_market.json"), str(empty))
     assert code == 1
     assert "line 1 column 1: Expecting value" in err
+
+
+def test_cli_names_missing_and_ill_typed_instance_fields(capsys, tmp_path):
+    raw = load_json("five_student_market.json")
+    del raw["schools"][0]["priority"]
+    raw["schools"][1]["quota"] = "1"
+    del raw["schools"][2]["id"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = cli(capsys, "validate", str(bad))
+    assert code == 1 and out == ""
+    assert f'{bad}: school s1: missing field "priority"' in err
+    assert f"{bad}: school s2: quota must be a positive integer" in err
+    assert f'{bad}: school 2: missing field "id"' in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rols, message", [
+    ({"i1": "s1"}, "student i1: ROL must be a list of bundle ids"),
+    ([["i1", "s1"]], 'expected an object with a "rols" field'),
+], ids=["string-rol", "list-of-rols"])
+def test_cli_rejects_misshapen_rol_documents(capsys, tmp_path, rols, message):
+    doc = tmp_path / "rols.json"
+    doc.write_text(json.dumps({"rols": rols}))
+    code, out, err = cli(capsys, "run-bundle-da",
+                         path("five_student_market.json"), str(doc))
+    assert code == 1 and out == ""
+    assert f"{doc}: {message}" in err
+    assert "unknown bundle" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("document", [
+    {"matching": {"i1": "s1", "i2": "B", "zz": "s2"}},
+    {"seats": {"i1": "s1", "zz": "s2"}},
+], ids=["bundle", "seats"])
+def test_cli_rejects_matchings_naming_unknown_students(capsys, tmp_path,
+                                                        document):
+    doc = tmp_path / "matching.json"
+    doc.write_text(json.dumps(document))
+    code, out, err = cli(capsys, "check-stability",
+                         path("five_student_market.json"),
+                         path("five_student_market_rols.json"), str(doc))
+    assert code == 1 and out == ""
+    assert "unknown student zz in matching" in err
+
+
+def test_cli_oracles_reject_over_capacity_matchings(capsys, tmp_path):
+    doc = tmp_path / "matching.json"
+    doc.write_text(json.dumps({"matching": {"i1": "s2", "i4": "s2"}}))
+    market = path("five_student_market.json")
+    rols = path("five_student_market_rols.json")
+    for argv in (("oracle", "size-max"), ("oracle", "pusm"), ("improve",)):
+        code, out, err = cli(capsys, *argv, market, rols, str(doc))
+        assert code == 1 and out == ""
+        assert err == "bundle s2 is over capacity\n"

@@ -153,6 +153,32 @@ def test_nesting_is_a_forest(walkthrough, nested):
             assert len(minimal) <= 1
 
 
+def test_bundle_tree_admit_charges_ancestors_and_close_zeroes_descendants(nested):
+    tree = nested.tree
+    assert tree.ancestors["s2"] == ("s2", "b23", "b123")
+    assert tree.descendants["b123"] == ("s1", "s2", "s3", "b23", "b123")
+    assert tree.roots == ("s4", "s5", "b123")
+    assert tree.root["s3"] == "b123" and tree.root["s5"] == "s5"
+    assert tree.quota == {"s1": 2, "s2": 2, "s3": 2, "s4": 1, "s5": 1,
+                          "b23": 4, "b123": 6}
+
+    remaining = dict(tree.quota)
+    for _ in range(2):
+        tree.admit(remaining, "s2")
+    # s2 ran out, so it is closed; its ancestors were only charged
+    assert remaining == {"s1": 2, "s2": 0, "s3": 2, "s4": 1, "s5": 1,
+                         "b23": 2, "b123": 4}
+    for _ in range(2):
+        tree.admit(remaining, "b23")
+    # b23 ran out: closing it zeroes s3 although s3 itself was never charged
+    assert remaining == {"s1": 2, "s2": 0, "s3": 0, "s4": 1, "s5": 1,
+                         "b23": 0, "b123": 2}
+    with pytest.raises(ValueError, match="bundle s3 has no seat left"):
+        tree.admit(remaining, "s3")
+    tree.close(remaining, "b123")
+    assert remaining["s1"] == remaining["b123"] == 0 and remaining["s4"] == 1
+
+
 def test_induced_preference_groups_by_first_occurrence(walkthrough):
     pref = induced_preference(["b12", "b1234"], walkthrough)
     assert pref.classes == (frozenset({"s1", "s2"}), frozenset({"s3", "s4"}))
