@@ -293,7 +293,12 @@ def _cmd_audit_rol(args):
 
 
 def _cmd_simulate(args):
-    config = (Exp1Config if args.exp == 1 else Exp2Config)(args.treatment)
+    try:
+        config = (Exp1Config if args.exp == 1 else Exp2Config)(args.treatment)
+    except ValueError as err:
+        raise _Failure(str(err), 2)
+    if args.rounds < 1 and not args.exact:
+        raise _Failure("--rounds must be at least 1", 2)
     if args.profile == "equilibrium":
         try:
             profile = equilibrium_profile(config)
@@ -301,7 +306,10 @@ def _cmd_simulate(args):
             raise _Failure(str(err), 2)
     else:
         profile = _fail_on_report(bcio.parse_profile(args.profile))
-        profile.validate(config)
+        try:
+            profile.validate(config)
+        except ValueError as err:
+            raise _Failure(f"{args.profile}: {err}")
     if args.exact:
         if args.exp != 1:
             raise _Failure("--exact is only available for --exp 1", 2)
@@ -344,6 +352,14 @@ def _cmd_trace(args):
     return 0
 
 
+def _seed(text):
+    """A --seed value: numpy seeds its generators from non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bundlechoice",
@@ -363,7 +379,7 @@ def build_parser():
     def implement_flags(p):
         p.add_argument("--implement", dest="implement",
                        choices=("det", "deterministic", "random", "prefs"))
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=_seed)
         p.add_argument("--stage-prefs", dest="stage_prefs",
                        help="JSON file of per-student school rankings")
 
@@ -420,7 +436,7 @@ def build_parser():
     p.add_argument("--profile", default="equilibrium",
                    help='"equilibrium" or a profile JSON file')
     p.add_argument("--rounds", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--exact", action="store_true",
                    help="exact expectation instead of Monte Carlo")
     p.add_argument("--csv", action="store_true")

@@ -21,14 +21,16 @@ weights; the Monte Carlo sampler draws from the same enumerated outcome
 distributions, so the two agree by construction up to sampling error.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import numpy as np
 
-from .model import BundleTree, validate_instance
+from .model import BundleTree, ValidationReport, validate_instance
 
 EXP1_UTILITIES = {
     "A": {"A": 110, "B": 100, "C": 20, None: 0},
@@ -72,7 +74,8 @@ class Exp1Config(_ExperimentMarket):
     def __init__(self, treatment):
         key = _canon(treatment)
         if key not in self.TREATMENTS:
-            raise ValueError(f"unknown experiment-1 treatment {treatment!r}")
+            raise ValueError(f"unknown experiment-1 treatment {treatment!r} "
+                             f"(expected one of {', '.join(self.TREATMENTS)})")
         self.exp = 1
         self.treatment = key
         self.schools = ("A", "B", "C")
@@ -99,7 +102,8 @@ class Exp2Config(_ExperimentMarket):
     def __init__(self, treatment):
         key = _canon(treatment)
         if key not in self.TREATMENTS:
-            raise ValueError(f"unknown experiment-2 treatment {treatment!r}")
+            raise ValueError(f"unknown experiment-2 treatment {treatment!r} "
+                             f"(expected one of {', '.join(self.TREATMENTS)})")
         self.exp = 2
         self.treatment = key
         self.schools = ("A", "B", "C", "D", "E", "F")
@@ -119,7 +123,7 @@ class StrategyProfile:
     Two kinds: "per-type" assigns each payoff type a list of
     (probability, ROL) branches; "by-rank" assigns a fixed ROL to each
     score rank (0 = highest score).  Probabilities are parsed exactly via
-    `Fraction(str(p))` so exact expectations stay exact.
+    `Fraction(str(p))`, integers directly, so exact expectations stay exact.
     """
 
     def __init__(self, kind, strategies):
@@ -129,11 +133,14 @@ class StrategyProfile:
         if kind == "per-type":
             self.strategies = {
                 key: tuple(
-                    (Fraction(str(p)), tuple(rol)) for p, rol in branches
+                    (Fraction(p if type(p) is int else str(p)), tuple(rol))
+                    for p, rol in branches
                 )
                 for key, branches in strategies.items()
             }
             for key, branches in self.strategies.items():
+                if any(p.numerator < 0 for p, _ in branches):
+                    raise ValueError(f"probabilities for {key!r} must not be negative")
                 if sum(p for p, _ in branches) != 1:
                     raise ValueError(f"probabilities for {key!r} do not sum to 1")
         else:
@@ -151,8 +158,17 @@ class StrategyProfile:
         return self.strategies[rank]
 
     def validate(self, config):
+        if self.kind != ("per-type" if config.exp == 1 else "by-rank"):
+            raise ValueError(
+                f"experiment {config.exp} does not take a {self.kind} profile"
+            )
         rols = []
         if self.kind == "per-type":
+            if set(self.strategies) != set(config.types):
+                raise ValueError(
+                    "per-type profile must give a strategy for each payoff "
+                    f"type {', '.join(config.types)} and no other"
+                )
             for branches in self.strategies.values():
                 rols += [rol for _, rol in branches]
         else:
@@ -208,7 +224,8 @@ class OutcomeMetrics:
     def __post_init__(self):
         for rate in (self.match_rate, self.mismatch_rate, self.envy_share,
                      self.payoff_loss):
-            assert rate is None or 0 <= rate <= 1, f"rate {rate} out of [0,1]"
+            if rate is not None and not 0 <= rate <= 1:
+                raise ValueError(f"rate {rate} out of [0,1]")
 
     def rows(self):
         """(metric, value) pairs for CSV emission, stable order."""
@@ -262,11 +279,9 @@ def assignment_branches(config, rols, order):
         if not admitted:
             continue
         choices = list(permutations(free[bid], len(admitted)))
-        assert choices, f"bundle {bid} admitted more students than open seats"
+        if not choices:
+            raise ValueError(f"bundle {bid} admitted more students than open seats")
         per_bundle.append((admitted, choices))
-    if not per_bundle:
-        yield Fraction(1), base
-        return
     weight = Fraction(1)
     for _, choices in per_bundle:
         weight /= len(choices)
@@ -286,88 +301,46 @@ def _exp1_terminal_states(config, profile, fixed=None):
     a type fairly and plays the profile.
     """
     students = tuple(range(config.n_students))
-    free_students = students if fixed is None else students[1:]
-    perm_weight = Fraction(1, 6)
-    for drawn in product(config.types, repeat=len(free_students)):
-        types = ((fixed[0],) + drawn) if fixed is not None else drawn
-        type_weight = Fraction(1)
-        for t in drawn:
-            type_weight *= config.type_weights[t]
-        branch_sets = []
-        for k, i in enumerate(students):
-            if fixed is not None and i == 0:
-                branch_sets.append(((Fraction(1), tuple(fixed[1])),))
-            else:
-                branch_sets.append(profile.branches(types[k]))
+    orders = list(permutations(students))
+    type_sets = [[(config.type_weights[t], t) for t in config.types]] * len(students)
+    if fixed is not None:
+        type_sets[0] = [(Fraction(1), fixed[0])]
+    for typed in product(*type_sets):
+        types = tuple(t for _, t in typed)
+        branch_sets = [profile.branches(t) for t in types]
+        if fixed is not None:
+            branch_sets[0] = [(Fraction(1), tuple(fixed[1]))]
         for combo in product(*branch_sets):
-            rol_weight = Fraction(1)
-            for p, _ in combo:
-                rol_weight *= p
-            rols = {i: combo[k][1] for k, i in enumerate(students)}
-            for order in permutations(students):
+            weight = prod(p for p, _ in typed + combo) / len(orders)
+            rols = {i: rol for i, (_, rol) in zip(students, combo)}
+            for order in orders:
                 for w, assignment in assignment_branches(config, rols, order):
-                    yield (
-                        type_weight * rol_weight * perm_weight * w,
-                        types,
-                        order,
-                        assignment,
-                    )
-
-
-def _rate(numer, denom):
-    return numer / denom if denom else Fraction(0)
-
-
-def _frate(numer, denom):
-    return numer / denom if denom else 0.0
+                    yield weight * w, types, order, assignment
 
 
 def exp1_exact_expectation(config, profile):
     """Exact group metrics by full enumeration of all randomness."""
     profile.validate(config)
-    n = config.n_students
-    payoff_sum = Fraction(0)
-    matched_sum = Fraction(0)
-    mismatch_sum = Fraction(0)
-    total = Fraction(0)
-    for weight, types, order, assignment in _exp1_terminal_states(config, profile):
-        total += weight
-        payoff_sum += weight * sum(
-            config.payoff(types[i], assignment[i]) for i in range(n)
-        )
-        matched_sum += weight * sum(
-            1 for i in range(n) if assignment[i] is not None
-        )
-        mismatch_sum += weight * sum(
-            1 for i in order[:2] if assignment[i] not in ("A", "B")
-        )
-    assert total == 1, "terminal-state weights must sum to one"
-    exact = {
-        "avg_payoff": payoff_sum / n,
-        "match_rate": matched_sum / n,
-        "mismatch_rate": mismatch_sum / 2,
-        "payoff_given_match": _rate(payoff_sum, matched_sum),
-    }
-    return OutcomeMetrics(
-        avg_payoff=float(exact["avg_payoff"]),
-        match_rate=float(exact["match_rate"]),
-        mismatch_rate=float(exact["mismatch_rate"]),
-        payoff_given_match=float(exact["payoff_given_match"]),
-        exact=exact,
-    )
+    weight, totals = _fold(1, (
+        (w, _round_record(config, types, order, assignment))
+        for w, types, order, assignment in _exp1_terminal_states(config, profile)
+    ))
+    if weight != 1:
+        raise ValueError("terminal-state weights must sum to one")
+    return _metrics(1, weight, totals)
 
 
 def exp1_deviation_value(config, profile, deviant_type, deviant_rol):
     """Exact expected payoff to one student deviating from the profile."""
     profile.validate(config)
     deviant_rol = tuple(deviant_rol)
-    StrategyProfile("per-type", {deviant_type: [(1, deviant_rol)]}).validate(config)
-    value = Fraction(0)
-    for weight, types, _, assignment in _exp1_terminal_states(
-        config, profile, fixed=(deviant_type, deviant_rol)
-    ):
-        value += weight * config.payoff(types[0], assignment[0])
-    return value
+    deviation = {t: [(1, deviant_rol)] for t in config.types}
+    StrategyProfile("per-type", deviation).validate(config)
+    states = _exp1_terminal_states(config, profile, fixed=(deviant_type, deviant_rol))
+    return sum(
+        (w * config.payoff(types[0], seats[0]) for w, types, _, seats in states),
+        Fraction(0),
+    )
 
 
 def feasible_rols(config):
@@ -427,14 +400,24 @@ def sample_scores(n, seed):
             return tuple(int(x) for x in draw)
 
 
-def _round_record(priority, assignment, payoffs, scores=None):
+def _round_record(config, types, priority, assignment, scores=None):
+    """One round: priority (best first), seats and the payoff they give.
+
+    Experiment-1 records keep the drawn payoff types, experiment-2 records
+    the scores.
+    """
     record = {
         "priority": tuple(priority),
         "assignment": dict(assignment),
-        "payoffs": dict(payoffs),
+        "payoffs": {
+            i: config.payoff(None if types is None else types[i], assignment[i])
+            for i in range(config.n_students)
+        },
     }
     if scores is not None:
-        record["scores"] = dict(scores)
+        record["scores"] = dict(enumerate(scores))
+    if types is not None:
+        record["types"] = types
     return record
 
 
@@ -486,6 +469,52 @@ def _exp2_contribution(record):
     }
 
 
+def _fold(kind, pairs):
+    """Weighted totals of the rounds' contributions, and the summed weight.
+
+    `pairs` yields (weight, record): weight 1 counts rounds, an exact
+    `Fraction` weights an enumerated terminal state.
+    """
+    contribution = _exp1_contribution if kind == 1 else _exp2_contribution
+    weight_sum = 0
+    totals = {}
+    for weight, record in pairs:
+        weight_sum += weight
+        for key, value in contribution(record).items():
+            totals[key] = totals.get(key, 0) + weight * value
+    return weight_sum, totals
+
+
+def _metrics(kind, weight, totals):
+    """OutcomeMetrics from folded totals.
+
+    Exact `Fraction` totals give the `exact` table and its floats; counted
+    totals give float rates with the round count and the raw components.
+    """
+    if not weight:
+        return OutcomeMetrics(rounds=0)
+    exact = isinstance(weight, Fraction)
+
+    def rate(numer, denom):
+        if not denom:
+            return Fraction(0) if exact else 0.0
+        return numer / denom
+
+    rates = {
+        "avg_payoff": rate(totals["payoff"], totals["students"]),
+        "match_rate": rate(totals["matched"], totals["students"]),
+    }
+    if kind == 1:
+        rates["mismatch_rate"] = rate(totals["mismatch"], totals["top2"])
+    rates["payoff_given_match"] = rate(totals["payoff"], totals["matched"])
+    if kind == 2:
+        rates["envy_share"] = rate(totals["envy"], totals["pairs"])
+        rates["payoff_loss"] = 1 - rate(totals["payoff"], totals["potential"])
+    if exact:
+        return OutcomeMetrics(**{k: float(v) for k, v in rates.items()}, exact=rates)
+    return OutcomeMetrics(**rates, rounds=weight, components=totals)
+
+
 def compute_metrics(records, kind):
     """Aggregate per-round records into OutcomeMetrics.
 
@@ -495,35 +524,20 @@ def compute_metrics(records, kind):
     """
     if kind not in (1, 2):
         raise ValueError(f"unknown experiment kind {kind!r}")
-    totals = {}
-    count = 0
-    for record in records:
-        count += 1
-        part = _exp1_contribution(record) if kind == 1 else _exp2_contribution(record)
-        for key, value in part.items():
-            totals[key] = totals.get(key, 0) + value
-    if not count:
-        return OutcomeMetrics(rounds=0)
-    return _metrics_from_totals(totals, count, kind)
+    return _metrics(kind, *_fold(kind, ((1, record) for record in records)))
 
 
-def _metrics_from_totals(totals, count, kind):
-    common = {
-        "avg_payoff": _frate(totals["payoff"], totals["students"]),
-        "match_rate": _frate(totals["matched"], totals["students"]),
-        "payoff_given_match": _frate(totals["payoff"], totals["matched"]),
-        "rounds": count,
-        "components": totals,
-    }
-    if kind == 1:
-        return OutcomeMetrics(
-            mismatch_rate=_frate(totals["mismatch"], totals["top2"]), **common
-        )
-    return OutcomeMetrics(
-        envy_share=_frate(totals["envy"], totals["pairs"]),
-        payoff_loss=1 - _frate(totals["payoff"], totals["potential"]),
-        **common,
-    )
+def _cut_points(branches):
+    """Float cut points and outcomes of (probability, outcome) branches."""
+    probabilities, outcomes = zip(*branches)
+    cuts = np.cumsum([float(p) for p in probabilities]).tolist()
+    cuts[-1] = 1.0
+    return cuts, outcomes
+
+
+def _pick(cuts, outcomes, u):
+    """The branch a uniform draw `u` falls in."""
+    return outcomes[bisect_right(cuts, u)]
 
 
 class _OutcomeTable:
@@ -537,31 +551,49 @@ class _OutcomeTable:
         self.config = config
         self.cells = {}
 
-    def cell(self, rols_key, order):
-        key = (rols_key, order)
-        hit = self.cells.get(key)
-        if hit is None:
-            rols = dict(zip(range(self.config.n_students), rols_key))
-            branches = list(assignment_branches(self.config, rols, order))
-            cuts = np.cumsum([float(w) for w, _ in branches])
-            cuts[-1] = 1.0
-            hit = self.cells[key] = (cuts, [a for _, a in branches])
-        return hit
-
     def draw(self, rols_key, order, u):
-        cuts, assignments = self.cell(rols_key, order)
-        return assignments[int(np.searchsorted(cuts, u, side="right"))]
+        key = (rols_key, order)
+        cell = self.cells.get(key)
+        if cell is None:
+            rols = dict(enumerate(rols_key))
+            branches = assignment_branches(self.config, rols, order)
+            cell = self.cells[key] = _cut_points(branches)
+        return _pick(*cell, u)
 
 
-def _profile_sampler(config, profile):
-    """Per-type branch cut points for fast mixed-strategy sampling."""
-    table = {}
-    for t in getattr(config, "types", ()):
-        branches = profile.branches(t)
-        cuts = np.cumsum([float(p) for p, _ in branches])
-        cuts[-1] = 1.0
-        table[t] = (cuts, [rol for _, rol in branches])
-    return table
+def _by_rank(rols_by_rank, scores):
+    """Priority order by descending score, and each student's ROL by rank."""
+    order = tuple(sorted(range(len(scores)), key=lambda i: -scores[i]))
+    rols = [None] * len(order)
+    for rank, i in enumerate(order):
+        rols[i] = tuple(rols_by_rank[rank])
+    return order, tuple(rols)
+
+
+def _exp1_draws(config, profile, rounds, rng):
+    """Experiment-1 rounds as (types, ROLs, priority, scores, seat draw)."""
+    perms = list(permutations(range(config.n_students)))
+    type_draws = rng.integers(0, len(config.types), size=(rounds, config.n_students))
+    branch_draws = rng.random((rounds, config.n_students))
+    perm_draws = rng.integers(0, len(perms), size=rounds)
+    seat_draws = rng.random(rounds)
+    sampler = {t: _cut_points(profile.branches(t)) for t in config.types}
+    for r in range(rounds):
+        types = tuple(config.types[k] for k in type_draws[r])
+        rols = tuple(
+            _pick(*sampler[t], branch_draws[r, k]) for k, t in enumerate(types)
+        )
+        yield types, rols, perms[perm_draws[r]], None, seat_draws[r]
+
+
+def _exp2_draws(config, profile, rounds, rng):
+    """Experiment-2 rounds as (types, ROLs, priority, scores, seat draw)."""
+    by_rank = [profile.rol_by_rank(rank) for rank in range(config.n_students)]
+    seat_draws = rng.random(rounds)
+    for r in range(rounds):
+        scores = sample_scores(config.n_students, rng)
+        order, rols = _by_rank(by_rank, scores)
+        yield None, rols, order, scores, seat_draws[r]
 
 
 def simulate_rounds(config, profile, rounds, seed, log_cap=100):
@@ -576,67 +608,22 @@ def simulate_rounds(config, profile, rounds, seed, log_cap=100):
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     profile.validate(config)
-    rng = np.random.default_rng(seed)
-    students = tuple(range(config.n_students))
+    draws = (_exp1_draws if config.exp == 1 else _exp2_draws)(
+        config, profile, rounds, np.random.default_rng(seed)
+    )
     table = _OutcomeTable(config)
-    totals = {}
-    count = 0
     log = []
 
-    def accumulate(record):
-        nonlocal count
-        count += 1
-        part = (
-            _exp1_contribution(record)
-            if config.exp == 1
-            else _exp2_contribution(record)
-        )
-        for key, value in part.items():
-            totals[key] = totals.get(key, 0) + value
-        if len(log) < log_cap:
-            log.append(record)
+    def records():
+        for types, rols, order, scores, u in draws:
+            assignment = table.draw(rols, order, u)
+            record = _round_record(config, types, order, assignment, scores)
+            record["rols"] = dict(enumerate(rols))
+            if len(log) < log_cap:
+                log.append(record)
+            yield 1, record
 
-    if config.exp == 1:
-        sampler = _profile_sampler(config, profile)
-        perms = list(permutations(students))
-        type_draws = rng.integers(0, len(config.types), size=(rounds, len(students)))
-        branch_draws = rng.random((rounds, len(students)))
-        perm_draws = rng.integers(0, len(perms), size=rounds)
-        seat_draws = rng.random(rounds)
-        for r in range(rounds):
-            types = tuple(config.types[k] for k in type_draws[r])
-            rols = []
-            for k, t in enumerate(types):
-                cuts, options = sampler[t]
-                rols.append(options[int(np.searchsorted(cuts, branch_draws[r, k], side="right"))])
-            order = perms[perm_draws[r]]
-            assignment = table.draw(tuple(rols), order, seat_draws[r])
-            payoffs = {
-                i: config.payoff(types[i], assignment[i]) for i in students
-            }
-            record = _round_record(order, assignment, payoffs)
-            record["types"] = types
-            record["rols"] = {i: rols[i] for i in students}
-            accumulate(record)
-    else:
-        seat_draws = rng.random(rounds)
-        for r in range(rounds):
-            scores = sample_scores(config.n_students, rng)
-            order = tuple(
-                sorted(students, key=lambda i: -scores[i])
-            )
-            rols = [None] * len(students)
-            for rank, i in enumerate(order):
-                rols[i] = tuple(profile.rol_by_rank(rank))
-            assignment = table.draw(tuple(rols), order, seat_draws[r])
-            payoffs = {i: config.payoff(None, assignment[i]) for i in students}
-            record = _round_record(
-                order, assignment, payoffs, scores={i: scores[i] for i in students}
-            )
-            record["rols"] = {i: rols[i] for i in students}
-            accumulate(record)
-
-    return _metrics_from_totals(totals, count, config.exp), log
+    return _metrics(config.exp, *_fold(config.exp, records())), log
 
 
 def play_fixed_round(config, rols_by_rank, scores):
@@ -646,15 +633,13 @@ def play_fixed_round(config, rols_by_rank, scores):
     the list of (probability, record) branches; deterministic draws yield a
     single branch.
     """
-    students = tuple(range(config.n_students))
-    scores = {i: scores[i] for i in students}
-    order = tuple(sorted(students, key=lambda i: -scores[i]))
-    rols = {i: tuple(rols_by_rank[rank]) for rank, i in enumerate(order)}
+    scores = [scores[i] for i in range(config.n_students)]
+    order, rols = _by_rank(rols_by_rank, scores)
+    branches = assignment_branches(config, dict(enumerate(rols)), order)
     out = []
-    for weight, assignment in assignment_branches(config, rols, order):
-        payoffs = {i: config.payoff(None, assignment[i]) for i in students}
-        record = _round_record(order, assignment, payoffs, scores=scores)
-        record["rols"] = rols
+    for weight, assignment in branches:
+        record = _round_record(config, None, order, assignment, scores)
+        record["rols"] = dict(enumerate(rols))
         out.append((weight, record))
     return out
 
@@ -680,7 +665,8 @@ def round_instance(config, priority):
         "rol_length": config.rol_length,
     }
     instance = validate_instance(raw)
-    assert not hasattr(instance, "problems"), f"bad experiment instance: {instance}"
+    if isinstance(instance, ValidationReport):
+        raise ValueError(f"bad experiment instance: {instance}")
     return instance
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .experiments import StrategyProfile
-from .model import ValidationReport, validate_instance, validate_rols
+from .model import ValidationReport, _is_ids, validate_instance, validate_rols
 
 
 def canonicalize(obj):
@@ -114,12 +114,34 @@ def parse_matching(path, instance):
     raw = _load_document(path)
     if isinstance(raw, ValidationReport):
         return raw
-    for field, kind in (("matching", "bundle"), ("seats", "standard")):
-        if isinstance(raw, dict) and isinstance(raw.get(field), dict):
-            return kind, dict(raw[field])
     report = ValidationReport([])
+    for field, kind, entry in (("matching", "bundle", "a bundle id"),
+                               ("seats", "standard", "a school id")):
+        if isinstance(raw, dict) and isinstance(raw.get(field), dict):
+            for student, value in raw[field].items():
+                if value is not None and not isinstance(value, str):
+                    report.add(f"{path}: {field}.{student}: expected {entry} or null")
+            return report if report.problems else (kind, dict(raw[field]))
     report.add(f'{path}: expected an object with a "matching" or "seats" field')
     return report
+
+
+def _is_branch_table(value):
+    return isinstance(value, dict) and all(
+        isinstance(branches, list) and all(
+            isinstance(b, list) and len(b) == 2 and _is_ids(b[1]) for b in branches
+        )
+        for branches in value.values()
+    )
+
+
+# Each profile kind: its field, the shape test, and what the message says.
+_PROFILE_FIELDS = {
+    "per-type": ("strategies", _is_branch_table,
+                 "an object mapping each payoff type to [probability, ROL] pairs"),
+    "by-rank": ("rols", lambda v: isinstance(v, list) and all(map(_is_ids, v)),
+                "a list of ROLs, one per score rank"),
+}
 
 
 def parse_profile(path):
@@ -127,13 +149,21 @@ def parse_profile(path):
     raw = _load_document(path)
     if isinstance(raw, ValidationReport):
         return raw
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind == "per-type":
-        return StrategyProfile("per-type", raw["strategies"])
-    if kind == "by-rank":
-        return StrategyProfile("by-rank", raw["rols"])
     report = ValidationReport([])
-    report.add(f'{path}: profile "kind" must be "per-type" or "by-rank"')
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in _PROFILE_FIELDS:
+        report.add(f'{path}: profile "kind" must be "per-type" or "by-rank"')
+        return report
+    field, well_formed, expected = _PROFILE_FIELDS[kind]
+    if field not in raw:
+        report.add(f'{path}: missing field "{field}"')
+    elif not well_formed(raw[field]):
+        report.add(f"{path}: {field}: expected {expected}")
+    else:
+        try:
+            return StrategyProfile(kind, raw[field])
+        except ValueError as err:
+            report.add(f"{path}: {err}")
     return report
 
 

@@ -194,6 +194,8 @@ def _check_shape(raw):
     report = ValidationReport()
     if not _is_ids(raw.get("students", [])):
         report.add("students must be a list of student ids")
+    if type(raw.get("rol_length", 1)) is not int:
+        report.add("rol_length must be a positive integer")
     for key, fields in _ENTRY_FIELDS.items():
         kind = key[:-1]
         entries = raw.get(key, [])
@@ -339,7 +341,7 @@ def validate_instance(raw):
                     )
                     break
 
-    if not isinstance(rol_length, int) or rol_length < 1:
+    if rol_length < 1:
         report.add("rol_length must be a positive integer")
     elif schools and rol_length >= len(schools):
         report.add(

@@ -5,12 +5,17 @@ implementation of the participant-instructions mechanism that never imports
 the package under test.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import exp1_oracle as oracle
 import pytest
 from conftest import FIXTURES
 
+import bundlechoice
 from bundlechoice import (
     Exp1Config,
     Exp2Config,
@@ -171,6 +176,46 @@ def test_monte_carlo_is_reproducible_and_consistent():
     assert first.avg_payoff == pytest.approx(215 / 3, abs=2.0)
 
 
+# Components and round counts of seeded Monte Carlo runs, recorded once and
+# frozen: any change to the RNG stream, the per-round quantities or their
+# fold shows here as an exact mismatch.
+ABC_LISTING = [("D", "ABC"), ("ABC", "D"), ("ABC", "E"), ("D", "ABC"),
+               ("ABC", "F"), ("E", "F")]
+DEF_LISTING = [("A", "DEF"), ("DEF", "A"), ("DEF", "B"), ("A", "DEF"),
+               ("B", "DEF"), ("C", "F")]
+E1 = ("payoff", "students", "matched", "top2", "mismatch")
+E2 = ("payoff", "students", "matched", "envy", "pairs", "potential")
+FROZEN_MONTE_CARLO = [
+    (1, "nobundle-one", "equilibrium", 1000, (191400, 3000, 1740, 2000, 508)),
+    (1, "indiff-bundle", "equilibrium", 1000, (209780, 3000, 2000, 2000, 0)),
+    (1, "strict-bundle", "equilibrium", 1000, (191400, 3000, 1740, 2000, 508)),
+    (1, "nobundle-two", "equilibrium", 1000, (214920, 3000, 2000, 2000, 0)),
+    (1, "strict-bundle", "empirical", 1000, (191300, 3000, 2151, 2000, 640)),
+    (2, "nobundle", "by-rank", 500, (90000, 3000, 2000, 500, 7500, 132500)),
+    (2, "indiff-bundle", "by-rank", 500, (90000, 3000, 2000, 500, 7500, 132500)),
+    (2, "strict-bundle", "by-rank", 500, (90000, 3000, 2000, 500, 7500, 132500)),
+    (2, "indiff-bundle", "abc", 500, (132500, 3000, 3000, 1273, 7500, 132500)),
+    (2, "strict-bundle", "def", 500, (132500, 3000, 3000, 3273, 7500, 132500)),
+]
+
+
+@pytest.mark.parametrize("exp, treatment, name, rounds, components",
+                         FROZEN_MONTE_CARLO)
+def test_seeded_monte_carlo_is_frozen(exp, treatment, name, rounds, components):
+    config = (Exp1Config if exp == 1 else Exp2Config)(treatment)
+    profile = {
+        "equilibrium": lambda: equilibrium_profile(config),
+        "empirical": lambda: parse_profile(
+            FIXTURES / "profiles" / "strict_bundle_empirical.json"),
+        "by-rank": lambda: parse_profile(FIXTURES / "profiles" / "exp2_by_rank.json"),
+        "abc": lambda: StrategyProfile("by-rank", ABC_LISTING),
+        "def": lambda: StrategyProfile("by-rank", DEF_LISTING),
+    }[name]().validate(config)
+    metrics, _ = simulate_rounds(config, profile, rounds=rounds, seed=2025)
+    assert metrics.rounds == rounds
+    assert metrics.components == dict(zip(E1 if exp == 1 else E2, components))
+
+
 def test_simulated_rounds_replay_as_stable_matchings():
     config = Exp1Config("nobundle-two")
     profile = equilibrium_profile(config)
@@ -329,3 +374,21 @@ def test_empty_record_streams_yield_bare_metrics():
     assert metrics.rounds == 0 and metrics.avg_payoff is None
     with pytest.raises(ValueError, match="unknown experiment kind"):
         compute_metrics([], 3)
+
+
+def test_rate_range_is_enforced_under_optimisation():
+    """The rate check is an explicit exception, so `python -O` keeps it."""
+    source = str(Path(bundlechoice.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (source, env.get("PYTHONPATH"))))
+    probe = (
+        "from bundlechoice import OutcomeMetrics\n"
+        "try:\n"
+        "    OutcomeMetrics(match_rate=1.5)\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "rate 1.5 out of [0,1]\n"

@@ -282,6 +282,12 @@ def test_cli_implement_policies(capsys):
     assert "--implement random requires --seed" in err
 
     code, _, err = cli(capsys, "implement", path("five_student_market.json"),
+                       path("five_student_matching.json"), "--implement", "random",
+                       "--seed", "-1")
+    assert code == 2
+    assert "argument --seed: must be a non-negative integer: -1" in err
+
+    code, _, err = cli(capsys, "implement", path("five_student_market.json"),
                        path("five_student_matching.json"),
                        "--implement", "prefs")
     assert code == 2
@@ -419,6 +425,7 @@ def test_cli_names_missing_and_ill_typed_instance_fields(capsys, tmp_path):
     del raw["schools"][0]["priority"]
     raw["schools"][1]["quota"] = "1"
     del raw["schools"][2]["id"]
+    raw["rol_length"] = True
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     code, out, err = cli(capsys, "validate", str(bad))
@@ -426,6 +433,7 @@ def test_cli_names_missing_and_ill_typed_instance_fields(capsys, tmp_path):
     assert f'{bad}: school s1: missing field "priority"' in err
     assert f"{bad}: school s2: quota must be a positive integer" in err
     assert f'{bad}: school 2: missing field "id"' in err
+    assert f"{bad}: rol_length must be a positive integer" in err
     assert "Traceback" not in err
 
 
@@ -467,3 +475,70 @@ def test_cli_oracles_reject_over_capacity_matchings(capsys, tmp_path):
         code, out, err = cli(capsys, *argv, market, rols, str(doc))
         assert code == 1 and out == ""
         assert err == "bundle s2 is over capacity\n"
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"matching": {"i1": ["s1"]}}, "matching.i1: expected a bundle id or null"),
+    ({"seats": {"i1": "s1", "i2": 2}}, "seats.i2: expected a school id or null"),
+], ids=["bundle", "seats"])
+def test_cli_rejects_matching_values_that_are_not_ids(capsys, tmp_path,
+                                                       document, message):
+    doc = tmp_path / "matching.json"
+    doc.write_text(json.dumps(document))
+    code, out, err = cli(capsys, "check-stability",
+                         path("five_student_market.json"),
+                         path("five_student_market_rols.json"), str(doc))
+    assert (code, out) == (1, "")
+    assert err == f"{doc}: {message}\n"
+
+
+BY_RANK = [["D", "A"], ["D", "A"], ["A", "E"], ["D", "E"], ["A", "F"], ["E", "F"]]
+
+
+@pytest.mark.parametrize("argv, document, code, message", [
+    (["--exp", "1", "--treatment", "all-bundles"], None, 2,
+     "unknown experiment-1 treatment 'all-bundles' (expected one of "
+     "nobundle-one, indiff-bundle, strict-bundle, nobundle-two)"),
+    (["--exp", "1", "--treatment", "nobundle-one", "--rounds", "0"], None, 2,
+     "--rounds must be at least 1"),
+    (["--exp", "1", "--treatment", "nobundle-one", "--seed", "-1"], None, 2,
+     "argument --seed: must be a non-negative integer: -1"),
+    (["--exp", "2", "--treatment", "nobundle"], {"kind": "by-rank"}, 1,
+     '{doc}: missing field "rols"'),
+    (["--exp", "1", "--treatment", "nobundle-one"],
+     {"kind": "per-type", "strategies": [["A"]]}, 1,
+     "{doc}: strategies: expected an object mapping each payoff type to "
+     "[probability, ROL] pairs"),
+    (["--exp", "2", "--treatment", "nobundle"],
+     {"kind": "by-rank", "rols": BY_RANK[:5]}, 1,
+     "{doc}: by-rank profile must cover every score rank"),
+    (["--exp", "2", "--treatment", "nobundle"],
+     {"kind": "by-rank", "rols": [["ABC"]] + BY_RANK[1:]}, 1,
+     "{doc}: option 'ABC' is not on the menu"),
+    (["--exp", "1", "--treatment", "nobundle-one"],
+     {"kind": "per-type", "strategies": {"A": [[1, ["A"]]]}}, 1,
+     "{doc}: per-type profile must give a strategy for each payoff type "
+     "A, B and no other"),
+    (["--exp", "1", "--treatment", "nobundle-one"],
+     {"kind": "per-type",
+      "strategies": {"A": [[1.5, ["A"]], [-0.5, ["B"]]], "B": [[1, ["B"]]]}}, 1,
+     "{doc}: probabilities for 'A' must not be negative"),
+    (["--exp", "1", "--treatment", "nobundle-one"],
+     {"kind": "per-type", "strategies": {"A": [["half", ["A"]]], "B": [[1, ["B"]]]}},
+     1, "{doc}: Invalid literal for Fraction: 'half'"),
+    (["--exp", "2", "--treatment", "nobundle"],
+     {"kind": "per-type", "strategies": {"A": [[1, ["A"]]]}}, 1,
+     "{doc}: experiment 2 does not take a per-type profile"),
+], ids=["treatment", "rounds", "seed", "missing-rols", "strategies-shape",
+        "by-rank-length", "off-menu", "missing-type", "probability-range",
+        "probability-literal", "kind-mismatch"])
+def test_cli_simulation_rejects_bad_usage_and_profiles(capsys, tmp_path, argv,
+                                                       document, code, message):
+    doc = tmp_path / "profile.json"
+    if document is not None:
+        doc.write_text(json.dumps(document))
+        argv = [*argv, "--profile", str(doc)]
+    got, out, err = cli(capsys, "simulate-experiment", *argv)
+    assert (got, out) == (code, "")
+    assert err.endswith(message.format(doc=doc) + "\n")
+    assert "Traceback" not in err
