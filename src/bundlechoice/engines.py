@@ -12,9 +12,11 @@ order, recomputing all tentative admissions from scratch every round.
 The *general* engine handles arbitrary nested bundles.  Each round it frees
 the seats of every tentatively held student whose bundle touches a school in
 play, then repeatedly admits the set of students who top the priority order
-at every live school of the bundle they ask for.  When the nested quota of a
-larger bundle cannot cover all sub-bundles about to admit, the shortfall is
-resolved by an exogenous tie-break order over students.
+at every live school of the bundle they ask for.  The round's applicants are
+queued once per school, worst first, so each school's top is read off the
+tail of its queue after dropping students already resolved.  When the nested
+quota of a larger bundle cannot cover all sub-bundles about to admit, the
+shortfall is resolved by an exogenous tie-break order over students.
 
 Both bundle engines keep one round's remaining seats per bundle and change
 them only through the instance's `BundleTree`: `admit` charges the requested
@@ -70,14 +72,14 @@ def run_standard_da(instance, rols):
     rol = {i: tuple(rols.get(i, ())) for i in instance.students}
     pointer = {i: 0 for i in instance.students}
     held = {}  # school id -> list of students, kept sorted by priority
+    admitted = {}  # student -> school held
     trace = EngineTrace("standard-da")
 
     for number in range(1, _round_limit(instance) + 1):
         proposers = [
             i
             for i in instance.students
-            if not any(i in pool for pool in held.values())
-            and pointer[i] < len(rol[i])
+            if i not in admitted and pointer[i] < len(rol[i])
         ]
         if not proposers:
             break
@@ -97,15 +99,15 @@ def run_standard_da(instance, rols):
             for i in pool:
                 rnd.events.append(("hold", i, s))
         held = {s: pool for s, pool in pools.items() if pool}
-        rnd.admitted = {i: s for s, pool in held.items() for i in pool}
+        admitted = {i: s for s, pool in held.items() for i in pool}
+        rnd.admitted = dict(admitted)
         trace.rounds.append(rnd)
         if not rnd.rejected:
             break
     else:
         raise AssertionError("round limit exceeded; engine failed to settle")
 
-    assignment = {i: s for s, pool in held.items() for i in pool}
-    return BundleMatching(instance, assignment), trace
+    return BundleMatching(instance, admitted), trace
 
 
 def run_bundle_da_simple(instance, rols):
@@ -179,6 +181,14 @@ def run_bundle_da_simple(instance, rols):
 def run_bundle_da_general(instance, rols, tiebreak=None):
     """Bundle deferred acceptance for arbitrary nested bundle systems.
 
+    Each round builds one applicant queue per school of the requested
+    bundles, sorted worst first by the school's priority.  A batch admits
+    every student who is the top of each school with a seat left in their
+    bundle; the queues only lose students, so every top is read by popping
+    resolved students off a queue's tail.  The batch's order is immaterial:
+    tie-break contenders are sorted by `tiebreak`, admits by the canonical
+    student order, and the overdemanded bundle is picked by bundle order.
+
     `tiebreak` is a strict order over students (best first) consulted only
     when a bundle lacks the seats to cover every sub-bundle about to admit;
     it defaults to the instance's canonical student order.
@@ -228,38 +238,44 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
                 rnd.events.append(("stay", i, bid))
         rnd.applications = dict(targets)
         unresolved = set(targets)
+        queues = {}
+        for i, bid in targets.items():
+            for s in instance.bundles[bid].schools:
+                queues.setdefault(s, []).append(i)
+        for s, queue in queues.items():
+            queue.sort(key=lambda i: instance.rank(s, i), reverse=True)
 
         while True:
-            alive = {s for s in active_schools if remaining[s] > 0}
             tops = {}
-            for s in alive:
-                pool = [
-                    i
-                    for i in unresolved
-                    if s in instance.bundles[targets[i]].schools
-                ]
-                if pool:
-                    tops[s] = min(pool, key=lambda i: instance.rank(s, i))
+            for s, queue in queues.items():
+                if remaining[s] > 0:
+                    while queue and queue[-1] not in unresolved:
+                        queue.pop()
+                    if queue:
+                        tops[s] = queue[-1]
             if not tops:
                 break
             batch = [
                 i
-                for i in unresolved
-                if any(s in tops for s in instance.bundles[targets[i]].schools)
-                and all(
+                for i in dict.fromkeys(tops.values())
+                if all(
                     tops.get(s) == i
                     for s in instance.bundles[targets[i]].schools
-                    if s in alive
+                    if remaining[s] > 0
                 )
             ]
-            assert batch, "no admissible applicant despite waiting applicants"
-            for a in batch:
-                for b in batch:
-                    if a < b:
-                        assert not (
-                            instance.bundles[targets[a]].schools
-                            & instance.bundles[targets[b]].schools
-                        ), "simultaneous admits with overlapping bundles"
+            if not batch:
+                raise RuntimeError(
+                    "no admissible applicant despite waiting applicants"
+                )
+            claimed = set()
+            for i in batch:
+                schools = instance.bundles[targets[i]].schools
+                if not claimed.isdisjoint(schools):
+                    raise RuntimeError(
+                        "simultaneous admits with overlapping bundles"
+                    )
+                claimed |= schools
 
             batch_bundles = {targets[i] for i in batch}
             nested = {}  # active bundle -> batch bundles strictly inside it

@@ -4,8 +4,8 @@ A bundle-matching tells each student *which group of schools* admitted her; a
 second stage must still pick the seat.  Seats are handed out by ascending
 bundle size: students admitted by single schools are forced, then two-school
 bundles fill from their remaining seats, then three-school bundles, and so
-on.  Nested quotas guarantee this never runs out of seats, which we assert
-rather than patch.
+on.  Nested quotas guarantee this never runs out of seats; a shortfall
+raises `RuntimeError` rather than being patched.
 
 Three seat-picking policies are provided: a deterministic lexicographic one
 (reproducible goldens), a seeded-random one (uniform over free seat slots,
@@ -50,7 +50,8 @@ def _stage_plan(nu):
             (school,) = bundle.schools
             seats[i] = school
             free[school] -= 1
-            assert free[school] >= 0, f"school {school} oversubscribed"
+            if free[school] < 0:
+                raise RuntimeError(f"school {school} oversubscribed")
         else:
             groups.setdefault(bid, []).append(i)
     ordered = sorted(
@@ -82,14 +83,16 @@ def implement(nu, policy):
         if policy.mode == "det":
             for i in students:
                 pool = _bundle_pool(instance, free, bid)
-                assert pool, f"no free seat left in bundle {bid}"
+                if not pool:
+                    raise RuntimeError(f"no free seat left in bundle {bid}")
                 seats[i] = pool[0]
                 free[pool[0]] -= 1
         else:
             slots = [
                 s for s in _bundle_pool(instance, free, bid) for _ in range(free[s])
             ]
-            assert len(slots) >= len(students), f"no free seat left in bundle {bid}"
+            if len(slots) < len(students):
+                raise RuntimeError(f"no free seat left in bundle {bid}")
             picks = rng.permutation(len(slots))[: len(students)]
             for i, k in zip(students, picks):
                 seats[i] = slots[k]
@@ -141,7 +144,8 @@ def implement_with_preferences(nu, preferences):
             held = {s: list(pool) for s, pool in held.items()}
             for s in held:
                 held[s] = [i for i in held[s] if placed.get(i) == s]
-        assert len(placed) == len(students), f"no free seat left in bundle {bid}"
+        if len(placed) != len(students):
+            raise RuntimeError(f"no free seat left in bundle {bid}")
         for i, s in placed.items():
             seats[i] = s
             free[s] -= 1
@@ -174,7 +178,8 @@ def enumerate_implementations(nu, cap=10000):
             return
         i, bid = roaming[idx]
         pool = _bundle_pool(instance, free, bid)
-        assert pool, f"no free seat left in bundle {bid}"
+        if not pool:
+            raise RuntimeError(f"no free seat left in bundle {bid}")
         for s in pool:
             seats[i] = s
             free[s] -= 1

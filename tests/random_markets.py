@@ -95,6 +95,54 @@ def random_simple_market(rng):
     return instance, rols
 
 
+def spanning_market(rng, n_students, group_sizes, quota, tier_size, rol_length):
+    """A non-simple market with a bundle over every school for a top tier.
+
+    Each group of schools shares one priority order and carries a bundle over
+    the group, plus a pair bundle over its first two schools when it has four
+    or more; one more bundle over every school is open to `tier_size`
+    students whom every school ranks in the same relative order.  The groups'
+    orders differ, so the general engine must clear it.  Every student lists
+    between one and `rol_length` distinct menu entries.
+    """
+    students = [f"i{k}" for k in range(1, n_students + 1)]
+    tier = [students[k] for k in rng.choice(n_students, size=tier_size,
+                                           replace=False)]
+    schools, bundles = [], []
+    for g, size in enumerate(group_sizes):
+        order = [students[k] for k in rng.permutation(n_students)]
+        slots = [pos for pos, i in enumerate(order) if i in tier]
+        for pos, i in zip(slots, tier):
+            order[pos] = i
+        members = [f"s{len(schools) + k}" for k in range(1, size + 1)]
+        schools += [{"id": s, "quota": quota, "priority": order} for s in members]
+        if size >= 4:
+            bundles.append({"id": f"p{g + 1}", "schools": members[:2],
+                            "targets": "all"})
+        bundles.append({"id": f"g{g + 1}", "schools": members, "targets": "all"})
+    bundles.append({"id": "span", "schools": [s["id"] for s in schools],
+                    "targets": sorted(tier)})
+    instance = validate_instance({"students": students, "schools": schools,
+                                  "bundles": bundles, "rol_length": rol_length})
+    assert not hasattr(instance, "problems"), f"generator produced {instance}"
+    rols = {}
+    for i in students:
+        menu = instance.menu(i)
+        length = min(int(rng.integers(1, rol_length + 1)), len(menu))
+        rols[i] = [menu[k] for k in rng.choice(len(menu), size=length,
+                                               replace=False)]
+    return instance, rols
+
+
+def random_spanning_market(rng):
+    """A small `spanning_market`: 5-8 students, two or three groups of two or
+    three one-seat schools, a tier of two or three, ROLs of up to two."""
+    n_students = int(rng.integers(5, 9))
+    tier_size = int(rng.integers(2, 4))
+    sizes = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 4)))]
+    return spanning_market(rng, n_students, sizes, 1, tier_size, 2)
+
+
 def _supbundle_cases(instance, rols):
     """(student, listed bundle, unlisted strict sup-bundle) triples, if any."""
     cases = []

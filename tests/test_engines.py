@@ -1,14 +1,19 @@
 """Matching engines: standard DA, simple bundle-DA, general bundle-DA.
 
 Expected matchings and full event streams are frozen from hand-worked runs
-of the two walkthrough markets; the engines must reproduce them exactly.
+of the two walkthrough markets; the engines must reproduce them exactly.  A
+seeded battery pins the general engine's and standard DA's complete traces by
+digest.
 """
 
+import numpy as np
 import pytest
 from conftest import build, load_json
+from random_markets import random_simple_market, random_spanning_market, spanning_market
 
 from bundlechoice import (
     check_bundle_stability,
+    content_digest,
     run_bundle_da,
     run_bundle_da_general,
     run_bundle_da_simple,
@@ -278,3 +283,93 @@ def test_general_engine_is_stable_on_the_overdemand_reproducer():
     nu, _ = run_bundle_da_general(instance, REPRODUCER_ROLS,
                                   tiebreak=["i1", "i2", "i3", "i4", "i5"])
     assert check_bundle_stability(nu, REPRODUCER_ROLS, instance).stable
+
+
+# Full engine outputs on a fixed battery, digested at the last commit before
+# the general engine read its tops from per-school queues.  A speed-up of
+# either engine must leave every round exactly as it was.
+def _plain(value):
+    """Dicts as item lists, so the digest sees insertion order too."""
+    if isinstance(value, dict):
+        return [[k, _plain(v)] for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _output(result):
+    matching, trace = result
+    return [trace.engine, _plain(matching.as_dict()), [
+        [rnd.number, _plain(rnd.applications), _plain(rnd.admitted),
+         _plain(rnd.rejected), _plain(rnd.events)]
+        for rnd in trace.rounds
+    ]]
+
+
+def _frozen_battery():
+    fixtures = [
+        (build(load_json(market)), load_json(rols)["rols"])
+        for market, rols in [
+            ("two_hierarchy_market.json", "two_hierarchy_market_rols.json"),
+            ("nested_bundle_market.json", "nested_bundle_market_rols.json"),
+            ("five_student_market.json", "five_student_market_rols.json"),
+            ("three_student_overdemand.json",
+             "three_student_overdemand_baseline_rols.json"),
+            ("three_student_overdemand.json",
+             "three_student_overdemand_deviation_rols.json"),
+        ]
+    ]
+    fixtures.append((build(DIVERGENCE_RAW), DIVERGENCE_ROLS))
+    spanning_rng = np.random.default_rng(6)
+    simple_rng = np.random.default_rng(12345)
+    return {
+        "fixtures": fixtures,
+        "reproducer": [(build(REPRODUCER_RAW), REPRODUCER_ROLS)],
+        "spanning": [random_spanning_market(spanning_rng) for _ in range(200)],
+        "simple": [random_simple_market(simple_rng) for _ in range(200)],
+        "mid": [spanning_market(np.random.default_rng(2026), 320,
+                                [4, 4, 4, 4, 4], 12, 16, 3)],
+    }
+
+
+def _frozen_digests():
+    digests = {}
+    for name, markets in _frozen_battery().items():
+        general, standard = [], []
+        for instance, rols in markets:
+            for tiebreak in (None, instance.students[::-1]):
+                general.append(_output(
+                    run_bundle_da_general(instance, rols, tiebreak)))
+            trivial = {i: [b for b in rol if instance.bundles[b].trivial]
+                       for i, rol in rols.items()}
+            standard.append(_output(run_standard_da(instance, trivial)))
+        digests[name] = (content_digest(general), content_digest(standard))
+    return digests
+
+
+FROZEN_DIGESTS = {
+    "fixtures": (
+        "b46a371113545eb2e05c9488a28eed8dd0a6c165ed9f8f834cc823eb0141395e",
+        "8d69a3aef1613b89ed3e444534e46428f951cb4c475c8586477ff97c028e8587",
+    ),
+    "reproducer": (
+        "3c42eee059cd22bc4b09af13dec739cd042c41ce95e2515ff2171de5b9dbd5c5",
+        "ef8ade1ed14b342e46875b6c2b49c8d3fa208fe5fe73ff46fe3a0356d4002f71",
+    ),
+    "spanning": (
+        "5c19f799fda1edd2b81ea2f94136fc465f54e8bba37f15240cb4bc09dc552e5c",
+        "d78af83ed08c2a89951caa3216097d1559a795d9a278696b604953af36b6985d",
+    ),
+    "simple": (
+        "9f9b191cc9150df9fbe57005ac9a8a2c4c1ad54db2d0bed31857e59101867eb0",
+        "6bce06bbfcc062e1bf8bf8db1c7847fc4f38f8c1b3dcf4a4729b1404771a97c7",
+    ),
+    "mid": (
+        "0ddcbd87143a251fd6207f964ec70d971da5de452534114b3bdb2a4814b4e576",
+        "5d5008ad5a2fee9cd357a71d58cae37d9b74224d0bb42afa4683431fa163a3ed",
+    ),
+}
+
+
+def test_engine_outputs_are_frozen():
+    assert _frozen_digests() == FROZEN_DIGESTS

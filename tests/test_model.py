@@ -1,8 +1,12 @@
 """Instance validation, simplicity detection, and induced preferences."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from conftest import build, load_json
 
+import bundlechoice
 from bundlechoice import (
     BundleMatching,
     ValidationReport,
@@ -235,3 +239,13 @@ def test_bundle_quota_is_sum_of_member_quotas(nested):
     assert nested.bundle_quota("b23") == 4
     assert nested.bundle_quota("b123") == 6
     assert nested.bundle_quota("s4") == 1
+
+
+def test_package_has_no_assert_statements():
+    """`python -O` strips `assert`, so the package checks with explicit raises."""
+    found = []
+    for module in sorted(Path(bundlechoice.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        found += [f"{module.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
