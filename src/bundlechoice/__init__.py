@@ -54,7 +54,6 @@ from .implementation import (
 )
 from .io import (
     canonical_document,
-    canonicalize,
     content_digest,
     trace_csv,
     parse_instance,

@@ -205,6 +205,32 @@ def _check_bound(options, bound):
             )
 
 
+def _larger_assignment(nu, rols, instance, bound, options_if_matched):
+    """(True, None), or (False, the first IR assignment in canonical scan
+    order that matches a student nu leaves out).  Every student nu matches
+    keeps one of `options_if_matched(rol, bundle)`; the others may stay out.
+    """
+    instance = instance or nu.instance
+    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    matched = {i for i in instance.students if nu[i] in rol[i]}
+    options = {
+        i: options_if_matched(rol[i], nu[i]) if i in matched
+        else [UNMATCHED, *rol[i]]
+        for i in instance.students
+    }
+    _check_bound(options, bound)
+
+    def accept(assignment):
+        return any(
+            assignment[i] is not UNMATCHED
+            for i in instance.students
+            if i not in matched
+        )
+
+    witness = _search_assignments(instance, options, accept)
+    return (witness is None), witness
+
+
 def oracle_size_maximal(nu, rols, instance=None, bound=DEFAULT_ORACLE_BOUND):
     """Is no IR assignment matching a strict superset of students?
 
@@ -212,25 +238,9 @@ def oracle_size_maximal(nu, rols, instance=None, bound=DEFAULT_ORACLE_BOUND):
     where the witness is the first strictly-larger IR assignment found in
     canonical scan order.
     """
-    instance = instance or nu.instance
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
-    matched = {i for i in instance.students if nu[i] in rol[i]}
-    options = {
-        i: list(rol[i]) if i in matched else [UNMATCHED] + list(rol[i])
-        for i in instance.students
-    }
-    _check_bound(options, bound)
-
-    def accept(assignment):
-        gained = [
-            i
-            for i in instance.students
-            if i not in matched and assignment[i] is not UNMATCHED
-        ]
-        return bool(gained)
-
-    witness = _search_assignments(instance, options, accept)
-    return (witness is None), witness
+    return _larger_assignment(
+        nu, rols, instance, bound, lambda rol, held: list(rol)
+    )
 
 
 def oracle_pareto_undominated_size_maximal(
@@ -242,27 +252,10 @@ def oracle_pareto_undominated_size_maximal(
     her old bundle or one she ranks higher, and match at least one
     additional student.  Returns (True, None) or (False, witness).
     """
-    instance = instance or nu.instance
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
-    matched = {i for i in instance.students if nu[i] in rol[i]}
-    options = {}
-    for i in instance.students:
-        if i in matched:
-            options[i] = list(rol[i][: rol[i].index(nu[i]) + 1])
-        else:
-            options[i] = [UNMATCHED] + list(rol[i])
-    _check_bound(options, bound)
-
-    def accept(assignment):
-        gained = [
-            i
-            for i in instance.students
-            if i not in matched and assignment[i] is not UNMATCHED
-        ]
-        return bool(gained)
-
-    witness = _search_assignments(instance, options, accept)
-    return (witness is None), witness
+    return _larger_assignment(
+        nu, rols, instance, bound,
+        lambda rol, held: list(rol[: rol.index(held) + 1]),
+    )
 
 
 def find_stable_pareto_improvement(

@@ -238,10 +238,7 @@ def _cmd_oracle(args):
         "size-max": oracle_size_maximal,
         "pusm": oracle_pareto_undominated_size_maximal,
     }[args.notion]
-    try:
-        holds, witness = oracle(nu, rols, bound=args.oracle_bound)
-    except OracleBoundExceeded as err:
-        raise _Failure(str(err))
+    holds, witness = oracle(nu, rols, bound=args.oracle_bound)
     inputs = {
         "instance": bcio.serialize_instance(instance),
         "rols": rols,
@@ -257,10 +254,7 @@ def _cmd_oracle(args):
 def _cmd_improve(args):
     instance, rols = _load_market(args)
     nu = _bundle_matching(args, instance, "improve needs")
-    try:
-        better = find_stable_pareto_improvement(nu, rols, bound=args.oracle_bound)
-    except OracleBoundExceeded as err:
-        raise _Failure(str(err))
+    better = find_stable_pareto_improvement(nu, rols, bound=args.oracle_bound)
     inputs = {
         "instance": bcio.serialize_instance(instance),
         "rols": rols,

@@ -2,8 +2,15 @@
 
 All three engines consume a validated instance plus a ROL mapping
 {student: sequence of bundle ids} and return a (BundleMatching, EngineTrace)
-pair.  Rejection always consumes one ROL slot, so every engine halts within
+pair.  They share one deferred-acceptance loop, `_deferred_acceptance`, which
+keeps each student's place in her list and the seats held after the last
+round, stops once every student with an entry left holds a seat, and moves
+each rejected student one entry down; an engine supplies only how one round
+clears.  Rejection always consumes one ROL slot, so every engine halts within
 |students| * rol_length rounds.
+
+*Standard DA* pools each school's holders with its new proposers and keeps
+the quota's best by priority.
 
 The *simple* engine requires every bundle's schools to share one full
 priority order; it then processes each sub-hierarchy sequentially by that
@@ -27,6 +34,7 @@ bundle (or school) has a seat left exactly when its own count is positive.
 """
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .model import BundleMatching, detect_simplicity
 
@@ -56,8 +64,34 @@ class EngineTrace:
                 yield (rnd.number,) + ev
 
 
-def _round_limit(instance):
-    return len(instance.students) * instance.rol_length + 1
+def _deferred_acceptance(instance, rols, name, clear):
+    """The student-proposing loop all three engines share.
+
+    Each round, every student with an entry left is pending on that entry, in
+    canonical order; a holder's pending entry is the bundle she holds.
+    `clear(number, pending, held)` returns the round; its `admitted` map
+    becomes the next `held`, so `clear` must not mutate `held`, which the
+    trace keeps.
+    """
+    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    pointer = dict.fromkeys(instance.students, 0)
+    held = {}
+    trace = EngineTrace(name)
+    for number in count(1):
+        pending = {
+            i: rol[i][pointer[i]]
+            for i in instance.students
+            if pointer[i] < len(rol[i])
+        }
+        if all(i in held for i in pending):
+            return BundleMatching(instance, held), trace
+        if number > len(instance.students) * instance.rol_length + 1:
+            raise RuntimeError("round limit exceeded; engine failed to settle")
+        rnd = clear(number, pending, held)
+        for i in rnd.rejected:
+            pointer[i] += 1
+        trace.rounds.append(rnd)
+        held = rnd.admitted
 
 
 def run_standard_da(instance, rols):
@@ -69,45 +103,29 @@ def run_standard_da(instance, rols):
                     f"student {i} lists bundle {bid}; standard DA accepts "
                     "one-school entries only"
                 )
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
-    pointer = {i: 0 for i in instance.students}
-    held = {}  # school id -> list of students, kept sorted by priority
-    admitted = {}  # student -> school held
-    trace = EngineTrace("standard-da")
 
-    for number in range(1, _round_limit(instance) + 1):
-        proposers = [
-            i
-            for i in instance.students
-            if i not in admitted and pointer[i] < len(rol[i])
-        ]
-        if not proposers:
-            break
+    def clear(number, pending, held):
         rnd = Round(number, {}, {}, [])
-        pools = {s: list(pool) for s, pool in held.items()}
-        for i in proposers:
-            school = next(iter(instance.bundles[rol[i][pointer[i]]].schools))
-            rnd.applications[i] = school
-            pools.setdefault(school, []).append(i)
+        pools = {}  # school id -> its holders, then this round's proposers
+        for i, s in held.items():
+            pools.setdefault(s, []).append(i)
+        for i, bid in pending.items():
+            if i not in held:
+                school = next(iter(instance.bundles[bid].schools))
+                rnd.applications[i] = school
+                pools.setdefault(school, []).append(i)
         for s, pool in pools.items():
             pool.sort(key=lambda i: instance.rank(s, i))
             for loser in pool[instance.schools[s].quota :]:
                 rnd.rejected.append(loser)
                 rnd.events.append(("reject", loser, s))
-                pointer[loser] += 1
             del pool[instance.schools[s].quota :]
             for i in pool:
                 rnd.events.append(("hold", i, s))
-        held = {s: pool for s, pool in pools.items() if pool}
-        admitted = {i: s for s, pool in held.items() for i in pool}
-        rnd.admitted = dict(admitted)
-        trace.rounds.append(rnd)
-        if not rnd.rejected:
-            break
-    else:
-        raise AssertionError("round limit exceeded; engine failed to settle")
+                rnd.admitted[i] = s
+        return rnd
 
-    return BundleMatching(instance, admitted), trace
+    return _deferred_acceptance(instance, rols, "standard-da", clear)
 
 
 def run_bundle_da_simple(instance, rols):
@@ -133,22 +151,9 @@ def run_bundle_da_simple(instance, rols):
         for root, sub in zip(tree.roots, info.hierarchies)
     }
 
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
-    pointer = {i: 0 for i in instance.students}
-    held = {}
-    trace = EngineTrace("bundle-da-simple")
-
-    for number in range(1, _round_limit(instance) + 1):
-        targets = {
-            i: rol[i][pointer[i]]
-            for i in instance.students
-            if pointer[i] < len(rol[i])
-        }
-        if not targets:
-            break
-        rnd = Round(number, dict(targets), {}, [])
+    def clear(number, targets, held):
+        rnd = Round(number, targets, {}, [])
         remaining = dict(tree.quota)
-        admitted = {}
         queues = {root: [] for root in tree.roots}
         for i, bid in targets.items():
             queues[tree.root[bid]].append(i)
@@ -158,24 +163,14 @@ def run_bundle_da_simple(instance, rols):
                 bid = targets[i]
                 if remaining[bid] > 0:
                     tree.admit(remaining, bid)
-                    admitted[i] = bid
+                    rnd.admitted[i] = bid
                     rnd.events.append(("admit", i, bid, dict(remaining)))
                 else:
                     rnd.rejected.append(i)
                     rnd.events.append(("reject", i, bid))
-        for i in rnd.rejected:
-            pointer[i] += 1
-        held = admitted
-        rnd.admitted = dict(admitted)
-        trace.rounds.append(rnd)
-        if all(
-            i in admitted or pointer[i] >= len(rol[i]) for i in instance.students
-        ):
-            break
-    else:
-        raise AssertionError("round limit exceeded; engine failed to settle")
+        return rnd
 
-    return BundleMatching(instance, held), trace
+    return _deferred_acceptance(instance, rols, "bundle-da-simple", clear)
 
 
 def run_bundle_da_general(instance, rols, tiebreak=None):
@@ -200,24 +195,13 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
     tb_rank = {i: k for k, i in enumerate(tiebreak)}
     tree = instance.tree
 
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
-    pointer = {i: 0 for i in instance.students}
-    held = {}
-    trace = EngineTrace("bundle-da-general")
-
-    for number in range(1, _round_limit(instance) + 1):
-        new = {
-            i: rol[i][pointer[i]]
-            for i in instance.students
-            if i not in held and pointer[i] < len(rol[i])
-        }
-        if not new:
-            break
-        rnd = Round(number, {}, {}, [])
+    def clear(number, pending, held):
+        targets = {i: bid for i, bid in pending.items() if i not in held}
+        rnd = Round(number, targets, {}, [])
         remaining = dict(tree.quota)
 
         fresh_schools = set()
-        for bid in new.values():
+        for bid in targets.values():
             fresh_schools |= instance.bundles[bid].schools
         active_bundles = {a for s in fresh_schools for a in tree.ancestors[s]}
         active_schools = set()
@@ -226,8 +210,7 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
 
         # Holders untouched by this round's applications keep their seats;
         # everyone else is released back into the competition.
-        admitted = {}
-        targets = dict(new)
+        admitted = rnd.admitted
         for i, bid in held.items():
             if instance.bundles[bid].schools & active_schools:
                 targets[i] = bid
@@ -236,7 +219,6 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
                 tree.admit(remaining, bid)
                 admitted[i] = bid
                 rnd.events.append(("stay", i, bid))
-        rnd.applications = dict(targets)
         unresolved = set(targets)
         queues = {}
         for i, bid in targets.items():
@@ -332,18 +314,9 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
         for i in sorted(unresolved, key=instance.student_key):
             rnd.rejected.append(i)
             rnd.events.append(("reject", i, targets[i]))
-            pointer[i] += 1
-        held = admitted
-        rnd.admitted = dict(admitted)
-        trace.rounds.append(rnd)
-        if all(
-            i in admitted or pointer[i] >= len(rol[i]) for i in instance.students
-        ):
-            break
-    else:
-        raise AssertionError("round limit exceeded; engine failed to settle")
+        return rnd
 
-    return BundleMatching(instance, held), trace
+    return _deferred_acceptance(instance, rols, "bundle-da-general", clear)
 
 
 def run_bundle_da(instance, rols, tiebreak=None, engine="auto"):

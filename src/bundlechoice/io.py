@@ -1,10 +1,10 @@
 """File formats, canonical serialization, and CSV emission.
 
 Instances, ROLs, matchings, and strategy profiles all travel as JSON
-documents.  Canonical serialization sorts every key, flattens sets into
-sorted lists, and prints with fixed separators, so equal inputs always
-produce byte-identical output; a sha256 digest of the canonicalized inputs
-ties each result document to what produced it.
+documents with string keys.  Canonical serialization sorts every key,
+flattens sets into sorted lists, and prints with fixed separators, so equal
+inputs always produce byte-identical output; a sha256 digest of the
+canonical inputs ties each result document to what produced it.
 """
 
 import hashlib
@@ -17,29 +17,24 @@ from .experiments import StrategyProfile
 from .model import ValidationReport, _is_ids, validate_instance, validate_rols
 
 
-def canonicalize(obj):
-    """Reduce to plain JSON types with deterministic ordering."""
-    if isinstance(obj, dict):
-        return {str(k): canonicalize(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+def _plain(obj):
+    """JSON form of the non-JSON values a document may carry."""
     if isinstance(obj, (set, frozenset)):
-        return sorted(canonicalize(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
-        return [canonicalize(v) for v in obj]
+        return sorted(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, float, str)):
-        return obj
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def canonical_document(obj):
-    return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    """One JSON line with sorted keys and fixed separators, in one pass."""
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), default=_plain
+    ) + "\n"
 
 
 def content_digest(obj):

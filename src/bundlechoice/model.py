@@ -529,9 +529,13 @@ class StandardMatching:
         self.instance = instance
         _check_students(instance, assignment)
         self.assignment = {i: assignment.get(i) for i in instance.students}
+        self._occupants = {sid: [] for sid in instance.schools}
         for i, sid in self.assignment.items():
-            if sid is not None and sid not in instance.schools:
+            if sid is None:
+                continue
+            if sid not in instance.schools:
                 raise ValueError(f"student {i} assigned to unknown school {sid}")
+            self._occupants[sid].append(i)
         for sid, school in instance.schools.items():
             if self.seated(sid) > school.quota:
                 raise ValueError(f"school {sid} is over capacity")
@@ -548,10 +552,11 @@ class StandardMatching:
         return hash(tuple(sorted(self.assignment.items(), key=lambda kv: kv[0])))
 
     def seated(self, school_id):
-        return sum(1 for sid in self.assignment.values() if sid == school_id)
+        return len(self._occupants.get(school_id, ()))
 
     def students_at(self, school_id):
-        return [i for i, sid in self.assignment.items() if sid == school_id]
+        """Occupants of a school in canonical student order."""
+        return list(self._occupants.get(school_id, ()))
 
     def as_dict(self):
         return dict(self.assignment)

@@ -12,6 +12,7 @@ indifference bundle refuted at 220/3 vs 70, the AC deviation worth 125/4).
 Each printed line names the paper's claim beside the verified value.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -449,46 +450,48 @@ def test_criterion_6_conservative_reports_raise_match_rate(capsys):
     assert ok, detail
 
 
-def test_criterion_7_cli_byte_identity(capsys):
-    # Run the `bundlechoice` console-script entry point without an install,
-    # from the same source tree this process imported the package from.
+# Criterion 7's command forms, with paths relative to the repository root
+# (the exp-2 result document records its --profile path).
+CLI_FORMS = [
+    ("validate", "fixtures/two_hierarchy_market.json"),
+    ("run-bundle-da", "fixtures/two_hierarchy_market.json",
+     "fixtures/two_hierarchy_market_rols.json", "--implement", "det"),
+    ("run-bundle-da", "fixtures/nested_bundle_market.json",
+     "fixtures/nested_bundle_market_rols.json",
+     "--tiebreak", "i1,i2,i3,i4,i5,i6,i7,i8",
+     "--implement", "random", "--seed", "11"),
+    ("oracle", "pusm", "fixtures/five_student_market.json",
+     "fixtures/five_student_market_rols.json",
+     "fixtures/five_student_matching.json"),
+    ("simulate-experiment", "--exp", "1", "--treatment", "strict-bundle",
+     "--rounds", "400", "--seed", "21"),
+    ("simulate-experiment", "--exp", "2", "--treatment", "nobundle",
+     "--profile", "fixtures/profiles/exp2_by_rank.json",
+     "--rounds", "150", "--seed", "3"),
+    ("trace", "fixtures/nested_bundle_market.json",
+     "fixtures/nested_bundle_market_rols.json",
+     "--tiebreak", "i1,i2,i3,i4,i5,i6,i7,i8"),
+]
+
+
+def _run_cli_process(args):
+    """Run the `bundlechoice` console-script entry point without an install,
+    from the repository root, with the source tree this process imported the
+    package from."""
     command = [sys.executable, "-c", "from bundlechoice.cli import main; main()"]
     source = str(Path(bundlechoice.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (source, os.environ.get("PYTHONPATH")))
     )
+    return subprocess.run([*command, *args], capture_output=True, env=env,
+                          cwd=FIXTURES.parent, timeout=120)
 
-    def fixture(name):
-        return str(FIXTURES / name)
 
-    cases = [
-        ("validate", fixture("two_hierarchy_market.json")),
-        ("run-bundle-da", fixture("two_hierarchy_market.json"),
-         fixture("two_hierarchy_market_rols.json"), "--implement", "det"),
-        ("run-bundle-da", fixture("nested_bundle_market.json"),
-         fixture("nested_bundle_market_rols.json"),
-         "--tiebreak", "i1,i2,i3,i4,i5,i6,i7,i8",
-         "--implement", "random", "--seed", "11"),
-        ("oracle", "pusm", fixture("five_student_market.json"),
-         fixture("five_student_market_rols.json"),
-         fixture("five_student_matching.json")),
-        ("simulate-experiment", "--exp", "1", "--treatment", "strict-bundle",
-         "--rounds", "400", "--seed", "21"),
-        ("simulate-experiment", "--exp", "2", "--treatment", "nobundle",
-         "--profile", fixture("profiles/exp2_by_rank.json"),
-         "--rounds", "150", "--seed", "3"),
-        ("trace", fixture("nested_bundle_market.json"),
-         fixture("nested_bundle_market_rols.json"),
-         "--tiebreak", "i1,i2,i3,i4,i5,i6,i7,i8"),
-    ]
+def test_criterion_7_cli_byte_identity(capsys):
     problems = []
-    for args in cases:
-        runs = [
-            subprocess.run([*command, *args], capture_output=True, env=env,
-                           timeout=120)
-            for _ in range(2)
-        ]
+    for args in CLI_FORMS:
+        runs = [_run_cli_process(args) for _ in range(2)]
         if runs[0].returncode != 0 or runs[1].returncode != 0:
             problems.append(f"{args[0]}: exit {runs[0].returncode}/{runs[1].returncode}"
                             f" {runs[0].stderr.decode()[:80]}")
@@ -496,8 +499,28 @@ def test_criterion_7_cli_byte_identity(capsys):
             problems.append(f"{args[0]}: outputs differ across identical runs")
     ok = not problems
     detail = (
-        f"{len(cases)} command forms repeated byte-identically"
+        f"{len(CLI_FORMS)} command forms repeated byte-identically"
         if ok else "; ".join(problems)
     )
     report(capsys, 7, ok, detail)
     assert ok, detail
+
+
+# sha256 of each CLI_FORMS command's stdout, recorded before the engines
+# shared one round loop and serialization became one json.dumps pass.
+CLI_STDOUT_SHA256 = [
+    "4da809d4dfad80bfe74733b56261b64b6ffea47b3b2fe6726a2bc530b0b828f0",
+    "c320a772382f07a5e8ad67c87215c5d8c309ed6fb358c335dbec8a0b882e6c78",
+    "6332bbb223a83d89ac403f9de6325b1e31c5c42e95005800a1c89d092d42f428",
+    "b6d5f6062da896ac6f284628209ced5f87863f375d1164e9d5871452324b1959",
+    "c37ec36174763c9849266dcd2aa821adcd0aa5eadfceacd2892bf0ad6e34cdbe",
+    "1e63a3bc40e495015276a9ac77a1c0e401405a0ebfbec3cfe92f4c025d95fd16",
+    "a6ca65801ec1eeb95c8331884e5ccfa839ddb0ac868d7da6ccc632f46611f547",
+]
+
+
+def test_cli_stdout_is_pinned():
+    runs = [_run_cli_process(args) for args in CLI_FORMS]
+    assert [run.returncode for run in runs] == [0] * len(CLI_FORMS)
+    assert [hashlib.sha256(run.stdout).hexdigest()
+            for run in runs] == CLI_STDOUT_SHA256

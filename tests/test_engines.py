@@ -2,8 +2,8 @@
 
 Expected matchings and full event streams are frozen from hand-worked runs
 of the two walkthrough markets; the engines must reproduce them exactly.  A
-seeded battery pins the general engine's and standard DA's complete traces by
-digest.
+seeded battery pins the complete traces of all three engines by digest (the
+simple engine's on the battery's simple markets).
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from random_markets import random_simple_market, random_spanning_market, spannin
 from bundlechoice import (
     check_bundle_stability,
     content_digest,
+    detect_simplicity,
     run_bundle_da,
     run_bundle_da_general,
     run_bundle_da_simple,
@@ -286,8 +287,9 @@ def test_general_engine_is_stable_on_the_overdemand_reproducer():
 
 
 # Full engine outputs on a fixed battery, digested at the last commit before
-# the general engine read its tops from per-school queues.  A speed-up of
-# either engine must leave every round exactly as it was.
+# the general engine read its tops from per-school queues (the simple
+# engine's at the last commit before the engines shared one round loop).  A
+# speed-up or refactor of any engine must leave every round exactly as it was.
 def _plain(value):
     """Dicts as item lists, so the digest sees insertion order too."""
     if isinstance(value, dict):
@@ -335,7 +337,7 @@ def _frozen_battery():
 def _frozen_digests():
     digests = {}
     for name, markets in _frozen_battery().items():
-        general, standard = [], []
+        general, standard, simple = [], [], []
         for instance, rols in markets:
             for tiebreak in (None, instance.students[::-1]):
                 general.append(_output(
@@ -343,7 +345,9 @@ def _frozen_digests():
             trivial = {i: [b for b in rol if instance.bundles[b].trivial]
                        for i, rol in rols.items()}
             standard.append(_output(run_standard_da(instance, trivial)))
-        digests[name] = (content_digest(general), content_digest(standard))
+            if detect_simplicity(instance).simple:
+                simple.append(_output(run_bundle_da_simple(instance, rols)))
+        digests[name] = tuple(map(content_digest, (general, standard, simple)))
     return digests
 
 
@@ -351,22 +355,27 @@ FROZEN_DIGESTS = {
     "fixtures": (
         "b46a371113545eb2e05c9488a28eed8dd0a6c165ed9f8f834cc823eb0141395e",
         "8d69a3aef1613b89ed3e444534e46428f951cb4c475c8586477ff97c028e8587",
+        "47649aa766872abf1273320573bde490428b7a43f323e9a22e19b0ed1b4ee96e",
     ),
     "reproducer": (
         "3c42eee059cd22bc4b09af13dec739cd042c41ce95e2515ff2171de5b9dbd5c5",
         "ef8ade1ed14b342e46875b6c2b49c8d3fa208fe5fe73ff46fe3a0356d4002f71",
+        "dc3aaa043f5fc413641b9111d5b0ae057c2c612a0fba3ba1a4599d1541b40275",
     ),
     "spanning": (
         "5c19f799fda1edd2b81ea2f94136fc465f54e8bba37f15240cb4bc09dc552e5c",
         "d78af83ed08c2a89951caa3216097d1559a795d9a278696b604953af36b6985d",
+        "dfdc62957782035e940894d10a2c03dbf2cbc030391ffa5a64b13ee3506d8506",
     ),
     "simple": (
         "9f9b191cc9150df9fbe57005ac9a8a2c4c1ad54db2d0bed31857e59101867eb0",
         "6bce06bbfcc062e1bf8bf8db1c7847fc4f38f8c1b3dcf4a4729b1404771a97c7",
+        "939fc09d42cfc1fef17f35b7fa030dd592f37c227680fc6c660df3a60583d5e9",
     ),
     "mid": (
         "0ddcbd87143a251fd6207f964ec70d971da5de452534114b3bdb2a4814b4e576",
         "5d5008ad5a2fee9cd357a71d58cae37d9b74224d0bb42afa4683431fa163a3ed",
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     ),
 }
 

@@ -15,7 +15,6 @@ from conftest import FIXTURES, load_json
 from bundlechoice import (
     ValidationReport,
     canonical_document,
-    canonicalize,
     content_digest,
     parse_instance,
     parse_matching,
@@ -41,30 +40,32 @@ def path(name):
     return str(FIXTURES / name)
 
 
-def test_canonicalize_normalizes_types():
-    out = canonicalize(
+def test_canonical_document_normalizes_types():
+    out = json.loads(canonical_document(
         {
             "b": (1, 2),
             "a": {frozenset({"y", "x"})},
-            3: Fraction(2, 3),
+            "3": Fraction(2, 3),
             "n": np.int64(7),
             "x": np.float64(0.5),
+            "f": np.float32(0.25),
             "flag": True,
             "gap": None,
         }
-    )
-    assert list(out) == ["3", "a", "b", "flag", "gap", "n", "x"]
+    ))
+    assert list(out) == ["3", "a", "b", "f", "flag", "gap", "n", "x"]
     assert out["3"] == "2/3"
     assert out["b"] == [1, 2]
     assert out["a"] == [["x", "y"]]
     assert out["n"] == 7 and isinstance(out["n"], int)
     assert out["x"] == 0.5 and isinstance(out["x"], float)
+    assert out["f"] == 0.25 and isinstance(out["f"], float)
     assert out["flag"] is True and out["gap"] is None
 
 
-def test_canonicalize_rejects_unknown_types():
-    with pytest.raises(TypeError, match="cannot canonicalize"):
-        canonicalize(object())
+def test_canonical_document_rejects_unknown_types():
+    with pytest.raises(TypeError, match="cannot canonicalize object"):
+        canonical_document({"a": [object()]})
 
 
 def test_canonical_document_and_digest_are_stable():
@@ -335,6 +336,11 @@ def test_cli_oracles_and_improve(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["found"] is False and doc["matching"] is None
+
+    code, out, err = cli(capsys, "improve", market, rols, matching,
+                         "--oracle-bound", "1")
+    assert (code, out) == (1, "")
+    assert "exceed the bound of 1" in err
 
 
 def test_cli_audit_rol_warnings(capsys, tmp_path):

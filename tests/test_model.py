@@ -241,11 +241,19 @@ def test_bundle_quota_is_sum_of_member_quotas(nested):
     assert nested.bundle_quota("s4") == 1
 
 
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_assert_statements():
-    """`python -O` strips `assert`, so the package checks with explicit raises."""
+    """`python -O` strips `assert`, so the package checks with explicit raises,
+    and none of them raises `AssertionError`, which reads as a failed assert."""
     found = []
     for module in sorted(Path(bundlechoice.__file__).parent.glob("*.py")):
         tree = ast.parse(module.read_text(encoding="utf-8"))
         found += [f"{module.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Raise) and node.exc is not None
+                  and _raises_assertion_error(node)]
     assert found == []
