@@ -140,8 +140,11 @@ def check_standard_stability(mu, rols, instance=None):
             violations.append(("ir", i))
 
     for i in instance.students:
+        above = induced[i].above(mu[i])
+        if not above:
+            continue
         for s in instance.school_order:
-            if not induced[i].strictly_prefers(s, mu[i]):
+            if s not in above:
                 continue
             if mu.seated(s) < instance.schools[s].quota:
                 violations.append(("waste", i, s))

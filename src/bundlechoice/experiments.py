@@ -21,7 +21,6 @@ weights; the Monte Carlo sampler draws from the same enumerated outcome
 distributions, so the two agree by construction up to sampling error.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -472,17 +471,21 @@ def _exp2_contribution(record):
 def _fold(kind, pairs):
     """Weighted totals of the rounds' contributions, and the summed weight.
 
-    `pairs` yields (weight, record): weight 1 counts rounds, an exact
-    `Fraction` weights an enumerated terminal state.
+    `pairs` yields (weight, record): a count of rounds, or an exact
+    `Fraction` weighting an enumerated terminal state.  Weights are summed
+    per distinct contribution first, so each component is multiplied once
+    per distinct contribution, not once per record.
     """
     contribution = _exp1_contribution if kind == 1 else _exp2_contribution
-    weight_sum = 0
-    totals = {}
+    weights = {}
     for weight, record in pairs:
-        weight_sum += weight
-        for key, value in contribution(record).items():
-            totals[key] = totals.get(key, 0) + weight * value
-    return weight_sum, totals
+        key = tuple(contribution(record).items())
+        weights[key] = weights.get(key, 0) + weight
+    totals = {}
+    for key, weight in weights.items():
+        for name, value in key:
+            totals[name] = totals.get(name, 0) + weight * value
+    return sum(weights.values()), totals
 
 
 def _metrics(kind, weight, totals):
@@ -535,30 +538,17 @@ def _cut_points(branches):
     return cuts, outcomes
 
 
-def _pick(cuts, outcomes, u):
-    """The branch a uniform draw `u` falls in."""
-    return outcomes[bisect_right(cuts, u)]
+def _pick_branches(cut_lists, keys, draws):
+    """Each draw's branch under the cut points its key selects, and the width.
 
-
-class _OutcomeTable:
-    """Lazily enumerated outcome distribution per (ROLs, priority) key.
-
-    Each cell stores cumulative branch probabilities and the matching of
-    every branch, so Monte Carlo rounds reduce to one uniform draw.
+    A branch index is the number of cut points at or below the draw, which is
+    what `bisect_right` returns; the padding at infinity is never counted.
     """
-
-    def __init__(self, config):
-        self.config = config
-        self.cells = {}
-
-    def draw(self, rols_key, order, u):
-        key = (rols_key, order)
-        cell = self.cells.get(key)
-        if cell is None:
-            rols = dict(enumerate(rols_key))
-            branches = assignment_branches(self.config, rols, order)
-            cell = self.cells[key] = _cut_points(branches)
-        return _pick(*cell, u)
+    width = max(map(len, cut_lists))
+    table = np.full((len(cut_lists), width), np.inf)
+    for k, cuts in enumerate(cut_lists):
+        table[k, :len(cuts)] = cuts
+    return (table[keys] <= draws[..., None]).sum(axis=-1), width
 
 
 def _by_rank(rols_by_rank, scores):
@@ -570,30 +560,45 @@ def _by_rank(rols_by_rank, scores):
     return order, tuple(rols)
 
 
-def _exp1_draws(config, profile, rounds, rng):
-    """Experiment-1 rounds as (types, ROLs, priority, scores, seat draw)."""
-    perms = list(permutations(range(config.n_students)))
-    type_draws = rng.integers(0, len(config.types), size=(rounds, config.n_students))
-    branch_draws = rng.random((rounds, config.n_students))
+def _exp1_cells(config, profile, rounds, rng):
+    """Experiment-1 draws grouped into (types, ROLs, priority) cells.
+
+    Returns the distinct cells, each round's cell index and each round's
+    seat draw.
+    """
+    n = config.n_students
+    perms = list(permutations(range(n)))
+    type_draws = rng.integers(0, len(config.types), size=(rounds, n))
+    branch_draws = rng.random((rounds, n))
     perm_draws = rng.integers(0, len(perms), size=rounds)
     seat_draws = rng.random(rounds)
-    sampler = {t: _cut_points(profile.branches(t)) for t in config.types}
-    for r in range(rounds):
-        types = tuple(config.types[k] for k in type_draws[r])
-        rols = tuple(
-            _pick(*sampler[t], branch_draws[r, k]) for k, t in enumerate(types)
-        )
-        yield types, rols, perms[perm_draws[r]], None, seat_draws[r]
+    samplers = [_cut_points(profile.branches(t)) for t in config.types]
+    branches, width = _pick_branches(
+        [cuts for cuts, _ in samplers], type_draws, branch_draws)
+    dims = (len(config.types),) * n + (width,) * n + (len(perms),)
+    codes = np.ravel_multi_index((*type_draws.T, *branches.T, perm_draws), dims)
+    unique, cell_of = np.unique(codes, return_inverse=True)
+    cells = []
+    for index in zip(*(part.tolist() for part in np.unravel_index(unique, dims))):
+        types, picks = index[:n], index[n:2 * n]
+        cells.append((
+            tuple(config.types[k] for k in types),
+            tuple(samplers[k][1][b] for k, b in zip(types, picks)),
+            perms[index[-1]],
+        ))
+    return cells, cell_of, seat_draws
 
 
-def _exp2_draws(config, profile, rounds, rng):
-    """Experiment-2 rounds as (types, ROLs, priority, scores, seat draw)."""
-    by_rank = [profile.rol_by_rank(rank) for rank in range(config.n_students)]
+def _exp2_cells(config, profile, rounds, rng):
+    """Experiment 2 in rank space: every round is one cell.
+
+    Priorities follow the scores and payoffs are common, so a round seen by
+    score rank is always the by-rank ROLs under the identity priority.
+    """
+    n = config.n_students
+    rols = tuple(tuple(profile.rol_by_rank(rank)) for rank in range(n))
     seat_draws = rng.random(rounds)
-    for r in range(rounds):
-        scores = sample_scores(config.n_students, rng)
-        order, rols = _by_rank(by_rank, scores)
-        yield None, rols, order, scores, seat_draws[r]
+    return [(None, rols, tuple(range(n)))], np.zeros(rounds, dtype=np.intp), seat_draws
 
 
 def simulate_rounds(config, profile, rounds, seed, log_cap=100):
@@ -604,26 +609,52 @@ def simulate_rounds(config, profile, rounds, seed, log_cap=100):
     a uniform priority order, and the within-bundle assignment; experiment 2
     draws distinct scores and plays the by-rank profile with priorities
     descending in score.
+
+    Rounds are counted per outcome cell (types, ROLs and priority) and per
+    seat branch of the cell, and each distinct (cell, branch) is folded
+    once, weighted by its count.  Experiment 2 is folded in rank space: no
+    metric reads a score, so all its rounds share one cell, and scores are
+    drawn only for the logged rounds, after the seat draws, as those rounds
+    always drew them.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     profile.validate(config)
-    draws = (_exp1_draws if config.exp == 1 else _exp2_draws)(
-        config, profile, rounds, np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    cells, cell_of, seat_draws = (_exp1_cells if config.exp == 1 else _exp2_cells)(
+        config, profile, rounds, rng
     )
-    table = _OutcomeTable(config)
+    seats = {}
+    for _, rols, priority in cells:
+        if (rols, priority) not in seats:
+            seats[rols, priority] = _cut_points(
+                assignment_branches(config, dict(enumerate(rols)), priority))
+    tables = [seats[rols, priority] for _, rols, priority in cells]
+    branch_of, width = _pick_branches(
+        [cuts for cuts, _ in tables], cell_of, seat_draws)
+    counted = []
+    for code, count in enumerate(np.bincount(cell_of * width + branch_of).tolist()):
+        if count:
+            c, branch = divmod(code, width)
+            types, _, priority = cells[c]
+            record = _round_record(config, types, priority, tables[c][1][branch])
+            counted.append((count, record))
+    metrics = _metrics(config.exp, *_fold(config.exp, counted))
+
     log = []
-
-    def records():
-        for types, rols, order, scores, u in draws:
-            assignment = table.draw(rols, order, u)
-            record = _round_record(config, types, order, assignment, scores)
-            record["rols"] = dict(enumerate(rols))
-            if len(log) < log_cap:
-                log.append(record)
-            yield 1, record
-
-    return _metrics(config.exp, *_fold(config.exp, records())), log
+    for r in range(min(rounds, log_cap)):
+        c = cell_of[r]
+        types, rols, priority = cells[c]
+        assignment = tables[c][1][branch_of[r]]
+        scores = None
+        if config.exp == 2:
+            scores = sample_scores(config.n_students, rng)
+            priority, rols = _by_rank(rols, scores)
+            assignment = {i: assignment[rank] for rank, i in enumerate(priority)}
+        record = _round_record(config, types, priority, assignment, scores)
+        record["rols"] = dict(enumerate(rols))
+        log.append(record)
+    return metrics, log
 
 
 def play_fixed_round(config, rols_by_rank, scores):

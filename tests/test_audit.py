@@ -5,19 +5,22 @@ brute-force reference in stability_oracle.py, which speaks in school-set
 keyed matchings; a small adapter translates between the two vocabularies.
 """
 
+import numpy as np
 import pytest
 import stability_oracle as ref
 from conftest import load_json
-from random_markets import exhaustive_stable_set
+from random_markets import exhaustive_stable_set, generate
 
 from bundlechoice import (
     BundleMatching,
     EnvyPairReport,
     OracleBoundExceeded,
+    StandardMatching,
     audit_rol_dominance,
     check_bundle_stability,
     check_standard_stability,
     find_stable_pareto_improvement,
+    induced_preference,
     oracle_pareto_undominated_size_maximal,
     oracle_size_maximal,
     property_supbundle_monotone,
@@ -152,6 +155,46 @@ def test_standard_stability_on_seat_assignments(tiny_market, tiny_rols):
     swapped = StandardMatching(tiny_market, {"i": "sp", "ip": "s"})
     verdict = check_standard_stability(swapped, tiny_rols, tiny_market)
     assert ("envy", "i", "ip", "s") in verdict.violations
+
+
+def _seat_violations_by_full_scan(mu, rols, instance):
+    """Reference: ask about every (student, school) pair in school order."""
+    induced = {i: induced_preference(rols.get(i, ()), instance)
+               for i in instance.students}
+    out = [("ir", i) for i in instance.students
+           if mu[i] is not None and not induced[i].acceptable(mu[i])]
+    for i in instance.students:
+        for s in instance.school_order:
+            if not induced[i].strictly_prefers(s, mu[i]):
+                continue
+            if mu.seated(s) < instance.schools[s].quota:
+                out.append(("waste", i, s))
+                continue
+            out += [("envy", i, j, s) for j in mu.students_at(s)
+                    if instance.prefers(s, i, j)]
+    return tuple(out)
+
+
+def test_seat_audit_matches_the_full_scan_on_random_seatings():
+    """The audit visits only the schools above each seat; its violations, and
+    their order, are those of the scan over every school."""
+    rng = np.random.default_rng(4242)
+    unstable = 0
+    for instance, rols in generate(150, 4242):
+        for _ in range(3):
+            left = {s: instance.schools[s].quota for s in instance.school_order}
+            seats = {}
+            for i in instance.students:
+                options = [s for s in instance.school_order if left[s]] + [None]
+                seats[i] = options[int(rng.integers(len(options)))]
+                if seats[i] is not None:
+                    left[seats[i]] -= 1
+            mu = StandardMatching(instance, seats)
+            verdict = check_standard_stability(mu, rols, instance)
+            expected = _seat_violations_by_full_scan(mu, rols, instance)
+            assert verdict.violations == expected
+            unstable += not verdict.stable
+    assert unstable > 300
 
 
 def test_truthtelling_holds_for_walkthrough_students(walkthrough, walkthrough_rols):

@@ -22,6 +22,7 @@ from bundlechoice import (
     StrategyProfile,
     check_standard_stability,
     compute_metrics,
+    content_digest,
     equilibrium_profile,
     equilibrium_verify,
     exp1_deviation_value,
@@ -199,9 +200,25 @@ FROZEN_MONTE_CARLO = [
 ]
 
 
-@pytest.mark.parametrize("exp, treatment, name, rounds, components",
-                         FROZEN_MONTE_CARLO)
-def test_seeded_monte_carlo_is_frozen(exp, treatment, name, rounds, components):
+# `content_digest` of each frozen run's log (its first 100 round records:
+# priorities, seats, payoffs, ROLs, types and scores), in FROZEN_MONTE_CARLO
+# order, recorded when Monte Carlo still played its rounds one at a time.
+FROZEN_LOG_DIGESTS = [
+    "a9f7128098ae9aceb4369224be1b3676686cea51872ee94446761c604f305d19",
+    "25cc9458f6c05a8db7e176cc989eadc1cde84186316f48b85c6df1216dfe66ff",
+    "a9f7128098ae9aceb4369224be1b3676686cea51872ee94446761c604f305d19",
+    "2aaa190d678456293c71c8dfd68f915e87a7809873847a6920edead13c2cea25",
+    "fd92cfd0928a715df071faa5b10f4efdc7b1d1395b4bf12aa9604f84a2dc8d7e",
+    "0b36d75da3fdb225f63643fb3e067a4c20ddd6b141d35ae9d7e08b8328545c33",
+    "0b36d75da3fdb225f63643fb3e067a4c20ddd6b141d35ae9d7e08b8328545c33",
+    "0b36d75da3fdb225f63643fb3e067a4c20ddd6b141d35ae9d7e08b8328545c33",
+    "8f8c9c14fb78825a9ea6efa6b85530050dc2ec11cabf803cf9623360f34b552d",
+    "001cd59b1b0a95f138f53b91ca173653de426d365870b69075ad304e6ae6c853",
+]
+
+
+def _frozen_run(exp, treatment, name):
+    """The config and validated profile of one FROZEN_MONTE_CARLO case."""
     config = (Exp1Config if exp == 1 else Exp2Config)(treatment)
     profile = {
         "equilibrium": lambda: equilibrium_profile(config),
@@ -211,9 +228,45 @@ def test_seeded_monte_carlo_is_frozen(exp, treatment, name, rounds, components):
         "abc": lambda: StrategyProfile("by-rank", ABC_LISTING),
         "def": lambda: StrategyProfile("by-rank", DEF_LISTING),
     }[name]().validate(config)
+    return config, profile
+
+
+@pytest.mark.parametrize("exp, treatment, name, rounds, components",
+                         FROZEN_MONTE_CARLO)
+def test_seeded_monte_carlo_is_frozen(exp, treatment, name, rounds, components):
+    config, profile = _frozen_run(exp, treatment, name)
     metrics, _ = simulate_rounds(config, profile, rounds=rounds, seed=2025)
     assert metrics.rounds == rounds
     assert metrics.components == dict(zip(E1 if exp == 1 else E2, components))
+
+
+@pytest.mark.parametrize(
+    "exp, treatment, name, rounds, digest",
+    [case[:4] + (digest,)
+     for case, digest in zip(FROZEN_MONTE_CARLO, FROZEN_LOG_DIGESTS)],
+    ids=[f"{case[0]}-{case[1]}-{case[2]}" for case in FROZEN_MONTE_CARLO],
+)
+def test_seeded_monte_carlo_logs_are_frozen(exp, treatment, name, rounds, digest):
+    config, profile = _frozen_run(exp, treatment, name)
+    _, log = simulate_rounds(config, profile, rounds=rounds, seed=2025)
+    assert len(log) == 100
+    assert content_digest(log) == digest
+
+
+@pytest.mark.parametrize("exp, treatment, name, rounds, components",
+                         FROZEN_MONTE_CARLO)
+def test_counted_fold_equals_the_fold_of_the_logged_records(
+        exp, treatment, name, rounds, components):
+    """Monte Carlo folds counted outcome cells; `compute_metrics` folds round
+    records one by one.  Whenever the log holds every round they agree."""
+    config, profile = _frozen_run(exp, treatment, name)
+    for count, log_cap in ((rounds, rounds), (1, 100), (37, 100), (rounds, 0)):
+        metrics, log = simulate_rounds(config, profile, rounds=count, seed=2025,
+                                       log_cap=log_cap)
+        assert metrics.rounds == count
+        assert len(log) == min(count, log_cap)
+        if count <= log_cap:
+            assert compute_metrics(log, exp) == metrics
 
 
 def test_simulated_rounds_replay_as_stable_matchings():
