@@ -56,10 +56,12 @@ from .io import (
     canonical_document,
     content_digest,
     trace_csv,
+    parse_classes,
     parse_instance,
     parse_matching,
     parse_profile,
     parse_rols,
+    parse_stage_prefs,
     serialize_instance,
 )
 from .cli import main, run_cli

@@ -5,7 +5,12 @@ rationality, non-wastefulness (a desired bundle is exempt when some bundle
 containing its schools is full), and justified envy in its three shapes —
 same bundle, strictly smaller bundle, strictly larger bundle with every
 intermediate bundle under quota.  Priority comparisons use the raw per-school
-orders and require agreement across the relevant schools.
+orders and require agreement across the relevant schools.  Only a desired
+bundle's rivals can witness envy of it: the holders of the bundle itself, of
+a bundle inside it and of a bundle containing it, its branch of the bundle
+tree.  Violations list every IR failure, then every waste, then every envy,
+each by student and ROL slot, and an envious student's witnesses in student
+order.
 
 Seat-level (standard) stability is checked against the preferences a ROL
 induces over individual schools: schools sharing a first-listed bundle form
@@ -80,14 +85,47 @@ def _prefers_on_all(instance, schools, i, j):
     return all(instance.prefers(s, i, j) for s in schools)
 
 
+def _rivals(instance, holders, full, desired):
+    """(j, case, schools) for every holder who could witness envy of `desired`.
+
+    Only holders of the bundle itself (case 1), of a bundle inside it
+    (case 2) or of a bundle containing it (case 3) can; a case-3 holder is
+    dropped when a bundle between the two is full.  `schools` are the
+    schools at which the envious student must outrank j.  Sorted by student.
+    """
+    tree = instance.tree
+    want = instance.bundles[desired].schools
+    rivals = [(j, 1, want) for j in holders.get(desired, ())]
+    for held in tree.descendants[desired]:
+        if held != desired:
+            have = instance.bundles[held].schools
+            rivals += [(j, 2, have) for j in holders.get(held, ())]
+    chain = set(tree.ancestors[desired])
+    for held in tree.ancestors[desired]:
+        between = chain - set(tree.ancestors[held])
+        if held != desired and not between & full:
+            rivals += [(j, 3, want) for j in holders.get(held, ())]
+    rivals.sort(key=lambda rival: instance.student_key(rival[0]))
+    return rivals
+
+
 def check_bundle_stability(nu, rols, instance=None):
-    """Check IR, non-wastefulness, and three-case justified envy."""
+    """Check IR, non-wastefulness, and three-case justified envy.
+
+    Violations come as every ("ir", i), then every ("waste", i, d), then
+    every ("envy", i, j, d, case), each group by student and then by ROL
+    slot, and envy witnesses j in student order.  A desired bundle d is
+    compared only with its rivals: the holders of d, of the bundles inside
+    it and of the bundles containing it, found through an index of holders
+    by bundle built once per call; nobody else can witness envy of d.
+    """
     instance = instance or nu.instance
     rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    seat = nu.as_dict()
     violations = []
 
     for i in instance.students:
-        if nu[i] is not UNMATCHED and nu[i] not in rol[i]:
+        if seat[i] is not UNMATCHED and seat[i] not in rol[i]:
             violations.append(("ir", i))
 
     ancestors = instance.tree.ancestors
@@ -96,33 +134,27 @@ def check_bundle_stability(nu, rols, instance=None):
         for bid in instance.bundle_order
         if nu.occupancy(bid) == instance.bundle_quota(bid)
     }
+    desires = []
     for i in instance.students:
-        current = _rol_rank(rol[i], nu[i])
-        for slot in range(current):
-            desired = rol[i][slot]
+        current = _rol_rank(rol[i], seat[i])
+        for desired in rol[i][:current]:
+            desires.append((i, desired))
             if not any(sup in full for sup in ancestors[desired]):
                 violations.append(("waste", i, desired))
+    if not desires:
+        return StabilityVerdict(violations)
 
-    for i in instance.students:
-        current = _rol_rank(rol[i], nu[i])
-        for slot in range(current):
-            desired = rol[i][slot]
-            want = instance.bundles[desired].schools
-            for j in instance.students:
-                held = nu[j]
-                if j == i or held is UNMATCHED:
-                    continue
-                if held == desired:
-                    if _prefers_on_all(instance, want, i, j):
-                        violations.append(("envy", i, j, desired, 1))
-                elif desired in ancestors[held]:
-                    have = instance.bundles[held].schools
-                    if _prefers_on_all(instance, have, i, j):
-                        violations.append(("envy", i, j, desired, 2))
-                elif held in ancestors[desired]:
-                    between = set(ancestors[desired]) - set(ancestors[held])
-                    if not between & full and _prefers_on_all(instance, want, i, j):
-                        violations.append(("envy", i, j, desired, 3))
+    holders = {}
+    for j, held in seat.items():
+        if held is not UNMATCHED:
+            holders.setdefault(held, []).append(j)
+    rivals = {}
+    for i, desired in desires:
+        if desired not in rivals:
+            rivals[desired] = _rivals(instance, holders, full, desired)
+        for j, case, schools in rivals[desired]:
+            if j != i and _prefers_on_all(instance, schools, i, j):
+                violations.append(("envy", i, j, desired, case))
     return StabilityVerdict(violations)
 
 

@@ -89,7 +89,7 @@ def _resolve_engine(args, instance):
     return engine
 
 
-def _policy(args):
+def _policy(args, instance):
     mode = getattr(args, "implement", None)
     if mode is None:
         return None
@@ -99,11 +99,20 @@ def _policy(args):
     if mode == "prefs":
         if not getattr(args, "stage_prefs", None):
             raise _Failure("--implement prefs requires --stage-prefs FILE", 2)
-        raw = _fail_on_report(bcio._load_document(args.stage_prefs))
-        preferences = {i: list(ranking) for i, ranking in raw.items()}
+        preferences = _fail_on_report(
+            bcio.parse_stage_prefs(args.stage_prefs, instance)
+        )
     if mode == "random" and args.seed is None:
         raise _Failure("--implement random requires --seed", 2)
     return ImplementationPolicy(mode, seed=args.seed, preferences=preferences)
+
+
+def _seat(args, nu, policy):
+    """Seat a bundle matching; a stage ranking that misses its bundle fails."""
+    try:
+        return implement(nu, policy)
+    except ValueError as err:
+        raise _Failure(f"{args.stage_prefs}: {err}")
 
 
 def _emit(text):
@@ -160,7 +169,7 @@ def _cmd_run_bundle_da(args):
         matching, trace = run_bundle_da(instance, rols, tiebreak, engine)
     except ValueError as err:
         raise _Failure(str(err))
-    policy = _policy(args)
+    policy = _policy(args, instance)
     blocks = {
         "engine": engine,
         "rounds": len(trace.rounds),
@@ -168,7 +177,7 @@ def _cmd_run_bundle_da(args):
         "stability": bcio.verdict_summary(check_bundle_stability(matching, rols)),
     }
     if policy is not None:
-        seats = implement(matching, policy)
+        seats = _seat(args, matching, policy)
         blocks["standard_matching"] = seats.as_dict()
         blocks["seat_stability"] = bcio.verdict_summary(
             check_standard_stability(seats, rols)
@@ -190,8 +199,8 @@ def _cmd_run_bundle_da(args):
 def _cmd_implement(args):
     instance = _fail_on_report(bcio.parse_instance(args.instance))
     nu = _bundle_matching(args, instance, "implement needs")
-    policy = _policy(args) or ImplementationPolicy("det")
-    seats = implement(nu, policy)
+    policy = _policy(args, instance) or ImplementationPolicy("det")
+    seats = _seat(args, nu, policy)
     inputs = {
         "instance": bcio.serialize_instance(instance),
         "matching": nu.as_dict(),
@@ -272,8 +281,7 @@ def _cmd_audit_rol(args):
     instance, rols = _load_market(args)
     classes = {}
     if args.classes:
-        raw = _fail_on_report(bcio._load_document(args.classes))
-        classes = {i: [set(c) for c in groups] for i, groups in raw.items()}
+        classes = _fail_on_report(bcio.parse_classes(args.classes, instance))
     warnings = {
         i: [list(w) for w in audit_rol_dominance(rol, instance, classes.get(i))]
         for i, rol in sorted(rols.items())

@@ -121,6 +121,60 @@ def parse_matching(path, instance):
     return report
 
 
+def _per_student(path, instance, what, entry_problems):
+    """A {student: value} side document, or a report naming file and field.
+
+    `entry_problems(student, value)` lists what is wrong with one student's
+    value, each problem led by the field it is about.
+    """
+    raw = _load_document(path)
+    if isinstance(raw, ValidationReport):
+        return raw
+    report = ValidationReport([])
+    if not isinstance(raw, dict):
+        report.add(f"{path}: expected an object mapping each student to {what}")
+        return report
+    students = set(instance.students)
+    for student, value in raw.items():
+        if student not in students:
+            report.add(f"{path}: unknown student {student}")
+        for problem in entry_problems(student, value):
+            report.add(f"{path}: {problem}")
+    return report if report.problems else raw
+
+
+def _school_list_problems(instance, field, value):
+    if not _is_ids(value):
+        return [f"{field}: expected a list of school ids"]
+    problems = [f"{field}: unknown school {s}" for s in value
+                if s not in instance.schools]
+    if len(set(value)) != len(value):
+        problems.append(f"{field}: repeated school")
+    return problems
+
+
+def parse_stage_prefs(path, instance):
+    """{student: [school ids]} from a --stage-prefs document."""
+    return _per_student(
+        path, instance, "a list of school ids",
+        lambda i, ranking: _school_list_problems(instance, i, ranking),
+    )
+
+
+def parse_classes(path, instance):
+    """{student: [set of school ids]} from a --classes document."""
+    def problems(i, groups):
+        if not isinstance(groups, list):
+            return [f"{i}: expected a list of indifference classes"]
+        return [p for k, group in enumerate(groups)
+                for p in _school_list_problems(instance, f"{i}[{k}]", group)]
+
+    raw = _per_student(path, instance, "a list of indifference classes", problems)
+    if isinstance(raw, ValidationReport):
+        return raw
+    return {i: [set(group) for group in groups] for i, groups in raw.items()}
+
+
 def _is_branch_table(value):
     return isinstance(value, dict) and all(
         isinstance(branches, list) and all(

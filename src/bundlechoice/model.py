@@ -137,6 +137,11 @@ class Instance:
             {b: self.bundles[b].schools for b in self.bundle_order},
         )
 
+    @cached_property
+    def simplicity(self):
+        """The bundle system's `SimplicityInfo`, computed on first use."""
+        return _find_simplicity(self)
+
     def rank(self, school_id, student):
         """Priority position of a student at a school (0 = best)."""
         return self._ranks[school_id][student]
@@ -404,8 +409,13 @@ def detect_simplicity(instance):
 
     When they do, the bundle system splits into disjoint sub-hierarchies --
     one per maximal bundle -- and each sub-hierarchy is governed by a single
-    order over students.  Returns a SimplicityInfo either way.
+    order over students.  Returns a SimplicityInfo either way, the same one
+    on every call for the same instance (`Instance.simplicity`).
     """
+    return instance.simplicity
+
+
+def _find_simplicity(instance):
     for bid in instance.bundle_order:
         bundle = instance.bundles[bid]
         if bundle.trivial:

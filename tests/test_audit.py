@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 import stability_oracle as ref
 from conftest import load_json
-from random_markets import exhaustive_stable_set, generate
+from random_markets import (
+    exhaustive_stable_set,
+    generate,
+    random_spanning_market,
+    spanning_market,
+)
 
 from bundlechoice import (
     BundleMatching,
@@ -25,10 +30,12 @@ from bundlechoice import (
     oracle_size_maximal,
     property_supbundle_monotone,
     property_truthtelling,
+    run_bundle_da,
     run_bundle_da_general,
     run_bundle_da_simple,
     run_standard_da,
 )
+from bundlechoice.audit import _prefers_on_all
 
 
 def to_school_sets(instance, assignment):
@@ -195,6 +202,128 @@ def test_seat_audit_matches_the_full_scan_on_random_seatings():
             assert verdict.violations == expected
             unstable += not verdict.stable
     assert unstable > 300
+
+
+def _bundle_violations_by_full_scan(nu, rols, instance):
+    """Reference: compare every (student, desired bundle) with every other
+    student, whatever she holds."""
+    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    ancestors = instance.tree.ancestors
+    full = {b for b in instance.bundle_order
+            if nu.occupancy(b) == instance.bundle_quota(b)}
+
+    def desired(i):
+        return rol[i][: rol[i].index(nu[i]) if nu[i] in rol[i] else None]
+
+    out = [("ir", i) for i in instance.students
+           if nu[i] is not None and nu[i] not in rol[i]]
+    out += [("waste", i, d) for i in instance.students for d in desired(i)
+            if not any(sup in full for sup in ancestors[d])]
+    for i in instance.students:
+        for d in desired(i):
+            want = instance.bundles[d].schools
+            for j in instance.students:
+                held = nu[j]
+                if j == i or held is None:
+                    continue
+                if held == d:
+                    if _prefers_on_all(instance, want, i, j):
+                        out.append(("envy", i, j, d, 1))
+                elif d in ancestors[held]:
+                    have = instance.bundles[held].schools
+                    if _prefers_on_all(instance, have, i, j):
+                        out.append(("envy", i, j, d, 2))
+                elif held in ancestors[d]:
+                    between = set(ancestors[d]) - set(ancestors[held])
+                    if not between & full and _prefers_on_all(instance, want, i, j):
+                        out.append(("envy", i, j, d, 3))
+    return tuple(out)
+
+
+def _seats_left(instance, assignment):
+    left = dict(instance.tree.quota)
+    for bid in assignment.values():
+        if bid is not None:
+            for sup in instance.tree.ancestors[bid]:
+                left[sup] -= 1
+    return left
+
+
+def _place(rng, instance, rols, assignment, i):
+    """Give i a random bundle with a seat left: one she lists with
+    probability 3/4 when any has room, else one on her menu; or nothing."""
+    assignment[i] = None
+    left = _seats_left(instance, assignment)
+    open_ = [b for b in instance.menu(i)
+             if all(left[sup] > 0 for sup in instance.tree.ancestors[b])]
+    listed = [b for b in rols.get(i, ()) if b in open_]
+    pool = listed if listed and rng.random() < 0.75 else open_ + [None]
+    assignment[i] = pool[int(rng.integers(len(pool)))]
+
+
+def _random_bundle_matching(rng, instance, rols):
+    assignment = {}
+    for k in rng.permutation(len(instance.students)):
+        _place(rng, instance, rols, assignment, instance.students[k])
+    return BundleMatching(instance, assignment)
+
+
+def _perturbed(rng, nu, rols, moves):
+    """The matching with `moves` random students unseated or moved."""
+    instance = nu.instance
+    assignment = nu.as_dict()
+    for k in rng.choice(len(instance.students), size=moves, replace=False):
+        i = instance.students[k]
+        if rng.random() < 0.5:
+            assignment[i] = None
+        else:
+            _place(rng, instance, rols, assignment, i)
+    return BundleMatching(instance, assignment)
+
+
+def _audit_against_full_scan(pairs):
+    """Assert equal violations, in order; count each kind and envy case."""
+    kinds = dict.fromkeys(("ir", "waste", 1, 2, 3), 0)
+    for nu, rols in pairs:
+        verdict = check_bundle_stability(nu, rols)
+        assert verdict.violations == _bundle_violations_by_full_scan(
+            nu, rols, nu.instance
+        )
+        for v in verdict.violations:
+            kinds[v[-1] if v[0] == "envy" else v[0]] += 1
+    return kinds
+
+
+def test_bundle_audit_matches_the_full_scan_on_random_assignments():
+    """The audit compares each desired bundle only with holders on its
+    branch of the bundle tree; its violations, and their order, are those
+    of the scan over every student."""
+    rng = np.random.default_rng(5151)
+    markets = generate(150, 5151)
+    markets += [random_spanning_market(rng) for _ in range(150)]
+    kinds = _audit_against_full_scan(
+        (_random_bundle_matching(rng, instance, rols), rols)
+        for instance, rols in markets
+        for _ in range(3)
+    )
+    assert kinds["ir"] >= 400 and kinds["waste"] >= 200
+    assert kinds[1] >= 400 and kinds[2] >= 200 and kinds[3] >= 150
+
+
+def test_bundle_audit_matches_the_full_scan_on_perturbed_large_markets():
+    """800-student grouped markets: each engine outcome, then the outcome
+    with students unseated or moved."""
+    rng = np.random.default_rng(6262)
+    pairs = []
+    for _ in range(2):
+        instance, rols = spanning_market(rng, 800, [4] * 8, 25, 40, 3)
+        tiebreak = [instance.students[k] for k in rng.permutation(800)]
+        nu, _ = run_bundle_da(instance, rols, tiebreak)
+        pairs.append((nu, rols))
+        pairs += [(_perturbed(rng, nu, rols, moves), rols) for moves in (5, 40)]
+    kinds = _audit_against_full_scan(pairs)
+    assert kinds["waste"] >= 50
+    assert kinds[1] >= 200 and kinds[2] >= 200 and kinds[3] >= 200
 
 
 def test_truthtelling_holds_for_walkthrough_students(walkthrough, walkthrough_rols):

@@ -548,3 +548,79 @@ def test_cli_simulation_rejects_bad_usage_and_profiles(capsys, tmp_path, argv,
     assert (got, out) == (code, "")
     assert err.endswith(message.format(doc=doc) + "\n")
     assert "Traceback" not in err
+
+
+STAGE_PREFS_SHAPES = [
+    ([1, 2], "expected an object mapping each student to a list of school ids"),
+    ({"i1": 5}, "i1: expected a list of school ids"),
+    ({"i1": ["zz"]}, "i1: unknown school zz"),
+    ({"i1": [1], "i2": [[]]}, "i1: expected a list of school ids\n{doc}: "
+     "i2: expected a list of school ids"),
+    ({"i2": ["s1", "s1"]}, "i2: repeated school"),
+    ({"zz": ["s1"]}, "unknown student zz"),
+    ({"i3": ["s1", "s2"]}, "no second-stage ranking for student i2"),
+    ({"i2": ["s1"], "i3": ["s1", "s2"]},
+     "student i2: ranking must cover exactly the schools of bundle B"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ("run-bundle-da", "five_student_market.json", "five_student_market_rols.json"),
+    ("implement", "five_student_market.json", "five_student_matching.json"),
+], ids=["run-bundle-da", "implement"])
+@pytest.mark.parametrize("document, message", STAGE_PREFS_SHAPES, ids=[
+    "list", "number", "unknown-school", "not-ids", "repeat", "unknown-student",
+    "missing-student", "short-ranking"])
+def test_cli_rejects_misshapen_stage_prefs(capsys, tmp_path, command, document,
+                                           message):
+    doc = tmp_path / "prefs.json"
+    doc.write_text(json.dumps(document))
+    name, *files = command
+    code, out, err = cli(capsys, name, *map(path, files), "--implement", "prefs",
+                         "--stage-prefs", str(doc))
+    assert (code, out) == (1, "")
+    assert err == f"{doc}: {message.format(doc=doc)}\n"
+
+
+def test_cli_seats_by_stage_prefs(capsys, tmp_path):
+    """i2 ranks s1 first, but the bundle's one free seat is at s2."""
+    doc = tmp_path / "prefs.json"
+    doc.write_text(json.dumps({"i2": ["s1", "s2"]}))
+    code, out, err = cli(capsys, "run-bundle-da", path("five_student_market.json"),
+                         path("five_student_market_rols.json"), "--implement",
+                         "prefs", "--stage-prefs", str(doc))
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["bundle_matching"]["i2"] == "B"
+    assert result["standard_matching"]["i2"] == "s2"  # i1 and i5 fill s1
+
+
+@pytest.mark.parametrize("document, message", [
+    ([1], "expected an object mapping each student to a list of indifference "
+     "classes"),
+    ({"i1": 3}, "i1: expected a list of indifference classes"),
+    ({"i1": [3]}, "i1[0]: expected a list of school ids"),
+    ({"i1": [["s1"], ["s2", "zz"]]}, "i1[1]: unknown school zz"),
+], ids=["list", "number", "class-not-ids", "unknown-school"])
+def test_cli_rejects_misshapen_indifference_classes(capsys, tmp_path, document,
+                                                    message):
+    doc = tmp_path / "classes.json"
+    doc.write_text(json.dumps(document))
+    code, out, err = cli(capsys, "audit-rol", path("two_hierarchy_market.json"),
+                         path("two_hierarchy_market_rols.json"),
+                         "--classes", str(doc))
+    assert (code, out) == (1, "")
+    assert err == f"{doc}: {message}\n"
+
+
+def test_cli_audit_rol_reads_indifference_classes(capsys, tmp_path):
+    doc = tmp_path / "classes.json"
+    doc.write_text(json.dumps({"i1": [["s1", "s2"]]}))
+    code, out, _ = cli(capsys, "audit-rol", path("two_hierarchy_market.json"),
+                       path("two_hierarchy_market_rols.json"),
+                       "--classes", str(doc))
+    assert code == 0
+    assert json.loads(out)["warnings"] == {"i1": [
+        ["indifferent-sub-report", 1, "s1", "b12"],
+        ["indifferent-sub-report", 2, "s2", "b12"],
+    ]}
