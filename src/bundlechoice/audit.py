@@ -19,8 +19,14 @@ one indifference class, and unlisted schools are unacceptable.
 The oracles answer size-maximality questions by exhaustive backtracking over
 individually rational assignments, with an explicit refusal above a
 candidate-count bound — never a silent approximation.
+
+The reporting-property checks compare a student's seat under a changed ROL
+with her seat under the submitted ROLs.  Callers check one market student by
+student, so that truthful outcome is memoised for the last market seen: the
+instance by identity, the ROLs by value.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 from .engines import run_bundle_da
@@ -328,16 +334,49 @@ def find_stable_pareto_improvement(
     return type(nu)(instance, found)
 
 
+def _listed(instance, rols, student):
+    """The student's ROL as a tuple, once the student is known to exist."""
+    if student not in instance.students:
+        raise ValueError(f"unknown student {student}")
+    return tuple(rols.get(student, ()))
+
+
+@lru_cache(maxsize=1)
+def _truthful_matching(instance, rol_key):
+    """The engine's matching under one market's submitted ROLs.
+
+    One slot, since callers check a market student by student before moving
+    on.  The instance is keyed by identity (it defines no equality) and held
+    by the memo, so its id cannot be reused; the ROLs are keyed by value, so
+    a ROL dict mutated between calls never reads a stale entry.  The matching
+    stays private: callers read one student's seat from it.
+    """
+    nu, _ = run_bundle_da(instance, dict(zip(instance.students, rol_key)))
+    return nu
+
+
+def _truthful_seat(instance, rols, student):
+    """The student's bundle under the submitted ROLs, through the memo."""
+    rol_key = tuple(tuple(rols.get(i, ())) for i in instance.students)
+    return _truthful_matching(instance, rol_key)[student]
+
+
 def property_truthtelling(instance, rols, student):
     """Can reordering a fixed bundle set ever beat the submitted order?
 
-    Runs the engine once per reordering of the student's ROL and compares
-    each outcome by the *original* order.  Returns None on pass, or a
-    violation tuple ("truthtelling", student, reordering, new assignment).
+    Judges every other order of the student's ROL by the *submitted* order:
+    the check fails when some reordering wins her a bundle she ranks above
+    the one she gets by reporting truthfully.  A student who already gets
+    her first entry cannot do better, so no reordering is tried; otherwise
+    the engine runs once per reordering.  The truthful outcome comes from a
+    one-market memo shared with `property_supbundle_monotone`.  Returns None
+    on pass, or a violation tuple ("truthtelling", student, reordering, new
+    assignment).
     """
-    rol = tuple(rols[student])
-    baseline, _ = run_bundle_da(instance, rols)
-    base_rank = _rol_rank(rol, baseline[student])
+    rol = _listed(instance, rols, student)
+    base_rank = _rol_rank(rol, _truthful_seat(instance, rols, student))
+    if base_rank == 0:
+        return None
     for reordered in permutations(rol):
         if reordered == rol:
             continue
@@ -354,23 +393,28 @@ def property_supbundle_monotone(instance, rols, student, b, b_sup):
 
     Expected movement: an assignment above b is untouched; an assignment
     at b moves to b_sup; an assignment below b (or none) moves to b_sup or
-    stays.  Returns None on pass, or ("supbundle", student, clause,
-    old assignment, new assignment).
+    stays.  The sup-bundle must be one the student may list.  Returns None
+    on pass, or ("supbundle", student, clause, old assignment, new
+    assignment).
     """
-    rol = tuple(rols[student])
+    rol = _listed(instance, rols, student)
+    for bid in (b, b_sup):
+        if bid not in instance.bundles:
+            raise ValueError(f"unknown bundle {bid}")
     if b not in rol:
         raise ValueError(f"bundle {b} is not in the student's ROL")
     if b_sup in rol:
         raise ValueError(f"sup-bundle {b_sup} is already listed")
+    if student not in instance.bundles[b_sup].targets:
+        raise ValueError(f"student {student}: not eligible to list bundle {b_sup}")
     if not instance.bundles[b].schools < instance.bundles[b_sup].schools:
         raise ValueError(f"{b_sup} does not strictly contain {b}")
 
-    baseline, _ = run_bundle_da(instance, rols)
     trial = dict(rols)
     trial[student] = [b_sup if bid == b else bid for bid in rol]
     outcome, _ = run_bundle_da(instance, trial)
 
-    old, new = baseline[student], outcome[student]
+    old, new = _truthful_seat(instance, rols, student), outcome[student]
     slot = rol.index(b)
     if _rol_rank(rol, old) < slot:
         if new != old:

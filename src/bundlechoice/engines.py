@@ -146,9 +146,10 @@ def run_bundle_da_simple(instance, rols):
             )
         )
     tree = instance.tree
+    # A simple system's schools under one root share one priority order.
     ranks = {
-        root: {i: r for r, i in enumerate(sub.order)}
-        for root, sub in zip(tree.roots, info.hierarchies)
+        root: instance.ranks(min(instance.bundles[root].schools))
+        for root in tree.roots
     }
 
     def clear(number, targets, held):

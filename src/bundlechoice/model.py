@@ -146,6 +146,10 @@ class Instance:
         """Priority position of a student at a school (0 = best)."""
         return self._ranks[school_id][student]
 
+    def ranks(self, school_id):
+        """Every student's priority position at a school; read-only."""
+        return self._ranks[school_id]
+
     def prefers(self, school_id, i, j):
         """True if school ranks student i strictly above student j."""
         ranks = self._ranks[school_id]

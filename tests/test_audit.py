@@ -5,13 +5,17 @@ brute-force reference in stability_oracle.py, which speaks in school-set
 keyed matchings; a small adapter translates between the two vocabularies.
 """
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 import stability_oracle as ref
 from conftest import load_json
 from random_markets import (
+    _supbundle_cases,
     exhaustive_stable_set,
     generate,
+    random_simple_market,
     random_spanning_market,
     spanning_market,
 )
@@ -34,8 +38,10 @@ from bundlechoice import (
     run_bundle_da_general,
     run_bundle_da_simple,
     run_standard_da,
+    validate_instance,
 )
-from bundlechoice.audit import _prefers_on_all
+from bundlechoice import audit
+from bundlechoice.audit import _prefers_on_all, _rol_rank
 
 
 def to_school_sets(instance, assignment):
@@ -345,6 +351,129 @@ def test_supbundle_check_validates_inputs(contested_market):
         property_supbundle_monotone(contested_market, rols, "i2", "s1", "B")
     with pytest.raises(ValueError, match="already listed"):
         property_supbundle_monotone(contested_market, rols, "i3", "B", "B")
+    with pytest.raises(ValueError, match="student i2: not eligible to list bundle B"):
+        property_supbundle_monotone(contested_market, rols, "i2", "s2", "B")
+    with pytest.raises(ValueError, match="unknown student i9"):
+        property_supbundle_monotone(contested_market, rols, "i9", "s1", "B")
+    with pytest.raises(ValueError, match="unknown bundle s9"):
+        property_supbundle_monotone(contested_market, rols, "i1", "s9", "B")
+    with pytest.raises(ValueError, match="unknown bundle Z"):
+        property_supbundle_monotone(contested_market, rols, "i1", "s1", "Z")
+    with pytest.raises(ValueError, match="unknown student i9"):
+        property_truthtelling(contested_market, rols, "i9")
+
+
+def _truthtelling_by_rerun(instance, rols, student):
+    """Reference: rerun the truthful outcome on every call and try every
+    reordering, whatever the student gets."""
+    rol = tuple(rols[student])
+    baseline, _ = run_bundle_da(instance, rols)
+    base_rank = _rol_rank(rol, baseline[student])
+    for reordered in permutations(rol):
+        if reordered == rol:
+            continue
+        trial = dict(rols)
+        trial[student] = list(reordered)
+        outcome, _ = run_bundle_da(instance, trial)
+        if _rol_rank(rol, outcome[student]) < base_rank:
+            return ("truthtelling", student, reordered, outcome[student])
+    return None
+
+
+def _supbundle_by_rerun(instance, rols, student, b, b_sup):
+    """Reference: rerun the truthful outcome on every call."""
+    rol = tuple(rols[student])
+    baseline, _ = run_bundle_da(instance, rols)
+    trial = dict(rols)
+    trial[student] = [b_sup if bid == b else bid for bid in rol]
+    outcome, _ = run_bundle_da(instance, trial)
+
+    old, new = baseline[student], outcome[student]
+    slot = rol.index(b)
+    if _rol_rank(rol, old) < slot:
+        if new != old:
+            return ("supbundle", student, 1, old, new)
+    elif old == b:
+        if new != b_sup:
+            return ("supbundle", student, 2, old, new)
+    else:
+        if new not in (b_sup, old):
+            return ("supbundle", student, 3, old, new)
+    if old is not None and new is None:
+        return ("supbundle", student, "matched-stays-matched", old, new)
+    return None
+
+
+def test_property_checks_match_the_rerun_references():
+    """Both checks return what rerunning the truthful outcome on every call
+    and trying every reordering returns, market by market, as the battery
+    and the benchmark call them."""
+    rng = np.random.default_rng(2)
+    markets = [random_simple_market(rng) for _ in range(200)]
+    markets += [random_spanning_market(rng) for _ in range(200)]
+    found = {"truthtelling": 0, "supbundle": 0}
+    for instance, rols in markets:
+        for i in instance.students:
+            if len(rols[i]) >= 2:
+                result = property_truthtelling(instance, rols, i)
+                assert result == _truthtelling_by_rerun(instance, rols, i)
+                found["truthtelling"] += result is not None
+        for i, b, sup in _supbundle_cases(instance, rols):
+            result = property_supbundle_monotone(instance, rols, i, b, sup)
+            assert result == _supbundle_by_rerun(instance, rols, i, b, sup)
+            found["supbundle"] += result is not None
+    assert found["truthtelling"] >= 1 and found["supbundle"] >= 1
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Every engine run the property checks make, as (instance, ROLs), with
+    the truthful-outcome memo emptied first."""
+    runs = []
+
+    def counted(instance, rols):
+        runs.append((instance, {i: tuple(r) for i, r in rols.items()}))
+        return run_bundle_da(instance, rols)
+
+    audit._truthful_matching.cache_clear()
+    monkeypatch.setattr(audit, "run_bundle_da", counted)
+    return runs
+
+
+def test_memo_reads_no_stale_outcome(contested_market, engine_runs):
+    """Mutating the ROL dict between calls, or checking a second instance
+    built from the same document, reaches the engine again."""
+    rols = load_json("three_student_overdemand_baseline_rols.json")["rols"]
+    failing = ("supbundle", "i1", 2, "s1", None)
+    assert property_supbundle_monotone(contested_market, rols, "i1", "s1", "B") == failing
+    rols["i3"] = ["s1"]  # i1 now loses s1 to i3 whatever she lists
+    assert property_supbundle_monotone(contested_market, rols, "i1", "s1", "B") is None
+    rols["i3"] = ["B"]
+    assert property_supbundle_monotone(contested_market, rols, "i1", "s1", "B") == failing
+
+    twin = validate_instance(load_json("three_student_overdemand.json"))
+    del engine_runs[:]
+    assert property_supbundle_monotone(twin, rols, "i1", "s1", "B") == failing
+    assert [instance for instance, _ in engine_runs] == [twin, twin]
+
+
+def test_property_checks_run_the_truthful_outcome_once(walkthrough, engine_runs):
+    """Every check on one market shares one truthful-outcome run, and a
+    student who gets her first entry makes no trial run.  Every student here
+    lists two entries, so any other student makes one."""
+    rols = load_json("two_hierarchy_market_rols.json")["rols"]
+    submitted = {i: tuple(r) for i, r in rols.items()}
+    nu, _ = run_bundle_da(walkthrough, rols)
+    first = {i for i in walkthrough.students if nu[i] == rols[i][0]}
+    assert 0 < len(first) < len(walkthrough.students)
+    for i in walkthrough.students:
+        before = len(engine_runs)
+        assert property_truthtelling(walkthrough, rols, i) is None
+        trials = [r for _, r in engine_runs[before:] if r != submitted]
+        assert len(trials) == (0 if i in first else 1)
+    for i, b, sup in _supbundle_cases(walkthrough, rols):
+        property_supbundle_monotone(walkthrough, rols, i, b, sup)
+    assert [r for _, r in engine_runs].count(submitted) == 1
 
 
 def test_dominated_rol_patterns_are_flagged(walkthrough):
