@@ -1,38 +1,58 @@
-"""Matching engines: standard deferred acceptance and two bundle variants.
+"""Matching engines: standard deferred acceptance and bundle deferred acceptance.
 
-All three engines consume a validated instance plus a ROL mapping
-{student: sequence of bundle ids} and return a (BundleMatching, EngineTrace)
-pair.  They share one deferred-acceptance loop, `_deferred_acceptance`, which
-keeps each student's place in her list and the seats held after the last
-round, stops once every student with an entry left holds a seat, and moves
-each rejected student one entry down; an engine supplies only how one round
+Every engine consumes a validated instance plus a ROL mapping {student:
+sequence of bundle ids} and returns a (BundleMatching, EngineTrace) pair.
+They share one deferred-acceptance loop, `_deferred_acceptance`, which keeps
+each student's place in her list and the seats held after the last round,
+stops once every student with an entry left holds a seat, and moves each
+rejected student one entry down; an engine supplies only how one round
 clears.  Rejection always consumes one ROL slot, so every engine halts within
 |students| * rol_length rounds.
 
 *Standard DA* pools each school's holders with its new proposers and keeps
 the quota's best by priority.
 
-The *simple* engine requires every bundle's schools to share one full
-priority order; it then processes each sub-hierarchy sequentially by that
-order, recomputing all tentative admissions from scratch every round.
+Both *bundle* engines clear a round the same way, in `_bundle_clearing`.  An
+application is a pair (student i, bundle b).  Each round, per root of the
+bundle tree, the pending applications, held and new alike, are sorted by a
+key that depends on the instance alone; each is admitted exactly when its
+bundle still has a seat (`BundleTree.admit` charges the bundle and every
+bundle containing it, closing any that runs out), and the rest are rejected.
 
-The *general* engine handles arbitrary nested bundles.  Each round it frees
-the seats of every tentatively held student whose bundle touches a school in
-play, then repeatedly admits the set of students who top the priority order
-at every live school of the bundle they ask for.  The round's applicants are
-queued once per school, worst first, so each school's top is read off the
-tail of its queue after dropping students already resolved.  When the nested
-quota of a larger bundle cannot cover all sub-bundles about to admit, the
-shortfall is resolved by an exogenous tie-break order over students.
+The key of (i, b) under root r:
 
-Both bundle engines keep one round's remaining seats per bundle and change
-them only through the instance's `BundleTree`: `admit` charges the requested
-bundle and every bundle containing it, closing any that runs out, and the
-general engine's tie-break `close`s the overdemanded bundle once its
-contenders are seated.  A closed bundle has zeroed everything inside it, so a
-bundle (or school) has a seat left exactly when its own count is positive.
+* if every school under r has the same priority order, i's rank in it;
+* otherwise, with s the first school of b in canonical order: for each
+  strict ancestor a of b, largest first, (number of a's targets that s ranks
+  above i, 0); then (number of b's targets that s ranks above i, 1); last
+  (i's rank in the tie-break order, b's canonical position).
+
+The simple engine requires every bundle's schools to share one priority
+order, so every root is of the first kind; the general engine accepts any
+nested system and is the same engine, only with the tie-break order.
+
+Why the outcome is stable and strategy-proof for students (a proof sketch):
+
+* Every envy clause of the stability audit compares two students on the
+  smaller of two nested bundles, and both are targets of it, since
+  validation lets an audience only shrink as a bundle grows.
+* Validation also makes a bundle's schools rank its targets alike, so each
+  clause is one comparison in one order, and the key orders every such pair
+  the way the clause needs.
+* Greedy admission in a fixed order under nested quotas is the greedy
+  algorithm of a laminar matroid, so each round's choice is substitutable
+  and obeys the law of aggregate demand.
+* Deferred acceptance over such choices ends stable, and it is
+  strategy-proof for students because the order ignores the reports
+  (Hatfield-Milgrom 2005, AER 95(4); laminar quotas in Kamada-Kojima 2015,
+  AER 105(1)).
+
+A round stores only its decisions, ("admit", i, b) and ("reject", i, b).
+`Round.events` adds to each admit the seats left in every bundle after it,
+rebuilt by replaying the round's admits from the full quotas.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -45,7 +65,21 @@ class Round:
     applications: dict  # student -> bundle asked for (or held) this round
     admitted: dict  # holdings at the end of the round
     rejected: list
-    events: list = field(default_factory=list)
+    decisions: list = field(default_factory=list)  # (kind, student, option)
+    tree: object = field(default=None, repr=False)  # replays admit snapshots
+
+    @property
+    def events(self):
+        """The decisions in order, each admit followed by a fresh copy of
+        every bundle's seats left after it."""
+        remaining = dict(self.tree.quota) if self.tree else None
+        events = []
+        for decision in self.decisions:
+            if decision[0] == "admit":
+                self.tree.admit(remaining, decision[2])
+                decision += (dict(remaining),)
+            events.append(decision)
+        return events
 
 
 @dataclass
@@ -118,26 +152,96 @@ def run_standard_da(instance, rols):
             pool.sort(key=lambda i: instance.rank(s, i))
             for loser in pool[instance.schools[s].quota :]:
                 rnd.rejected.append(loser)
-                rnd.events.append(("reject", loser, s))
+                rnd.decisions.append(("reject", loser, s))
             del pool[instance.schools[s].quota :]
             for i in pool:
-                rnd.events.append(("hold", i, s))
+                rnd.decisions.append(("hold", i, s))
                 rnd.admitted[i] = s
         return rnd
 
     return _deferred_acceptance(instance, rols, "standard-da", clear)
 
 
-def run_bundle_da_simple(instance, rols):
-    """Bundle deferred acceptance for systems with a shared priority order.
+def _application_key(instance, tiebreak):
+    """The key of an application (i, b) under a root whose schools' priority
+    orders differ, computed once per application."""
+    tree, bundles = instance.tree, instance.bundles
+    tb_rank = {i: k for k, i in enumerate(tiebreak)}
+    shape = {}  # bundle -> (its first school, its chain largest first, position)
+    above = {}  # (bundle, school) -> the school's ranks of the bundle's targets
+    keys = {}
 
-    Every round resets all quotas and reprocesses, per sub-hierarchy, the
-    carried-over tentative admits together with the round's new applicants,
-    one by one in the hierarchy's common order: a student is admitted exactly
-    when her requested bundle still has a seat, and each admission charges
-    the bundle and all of its sup-bundles, closing (zeroing, with everything
-    nested inside) any bundle that hits zero.
-    """
+    def count_above(a, s, rank):
+        ranks = above.get((a, s))
+        if ranks is None:
+            at = instance.ranks(s)
+            ranks = above[a, s] = sorted(at[t] for t in bundles[a].targets)
+        return bisect_left(ranks, rank)
+
+    def key(i, b):
+        found = keys.get((i, b))
+        if found is None:
+            if b not in shape:
+                chain = sorted(tree.ancestors[b],
+                               key=lambda a: -len(bundles[a].schools))
+                first = next(s for s in instance.school_order
+                             if s in bundles[b].schools)
+                shape[b] = first, chain, instance.bundle_order.index(b)
+            s, chain, position = shape[b]
+            rank = instance.rank(s, i)
+            counts = []
+            for a in chain:
+                counts += (count_above(a, s, rank), a == b)
+            found = keys[i, b] = (*counts, tb_rank[i], position)
+        return found
+
+    return key
+
+
+def _bundle_clearing(instance, tiebreak):
+    """The round both bundle engines clear with, as `_deferred_acceptance`'s
+    `clear`: per root, admit the pending applications in key order while
+    their bundle has a seat, and reject the rest."""
+    tree = instance.tree
+    simple = detect_simplicity(instance).simple  # then every root qualifies
+    shared = {}  # root whose schools share one priority order -> rank lookup
+    for root in tree.roots:
+        s, *others = instance.bundles[root].schools
+        order = instance.schools[s].priority
+        if simple or all(instance.schools[o].priority == order for o in others):
+            shared[root] = instance.ranks(s).__getitem__
+    key = None
+    if len(shared) < len(tree.roots):
+        key = _application_key(instance, tiebreak)
+
+    def clear(number, pending, held):
+        def application_key(i):
+            return key(i, pending[i])
+
+        rnd = Round(number, pending, {}, [], tree=tree)
+        remaining = dict(tree.quota)
+        queues = {root: [] for root in tree.roots}
+        for i, bid in pending.items():
+            queues[tree.root[bid]].append(i)
+        for root, queue in queues.items():
+            queue.sort(key=shared.get(root, application_key))
+            for i in queue:
+                bid = pending[i]
+                if remaining[bid] > 0:
+                    tree.admit(remaining, bid)
+                    rnd.admitted[i] = bid
+                    rnd.decisions.append(("admit", i, bid))
+                else:
+                    rnd.rejected.append(i)
+                    rnd.decisions.append(("reject", i, bid))
+        return rnd
+
+    return clear
+
+
+def run_bundle_da_simple(instance, rols):
+    """Bundle deferred acceptance for systems with a shared priority order:
+    every round admits each sub-hierarchy's applicants in its common order."""
     info = detect_simplicity(instance)
     if not info.simple:
         raise ValueError(
@@ -145,178 +249,22 @@ def run_bundle_da_simple(instance, rols):
                 info.reason
             )
         )
-    tree = instance.tree
-    # A simple system's schools under one root share one priority order.
-    ranks = {
-        root: instance.ranks(min(instance.bundles[root].schools))
-        for root in tree.roots
-    }
-
-    def clear(number, targets, held):
-        rnd = Round(number, targets, {}, [])
-        remaining = dict(tree.quota)
-        queues = {root: [] for root in tree.roots}
-        for i, bid in targets.items():
-            queues[tree.root[bid]].append(i)
-        for root, queue in queues.items():
-            queue.sort(key=ranks[root].__getitem__)
-            for i in queue:
-                bid = targets[i]
-                if remaining[bid] > 0:
-                    tree.admit(remaining, bid)
-                    rnd.admitted[i] = bid
-                    rnd.events.append(("admit", i, bid, dict(remaining)))
-                else:
-                    rnd.rejected.append(i)
-                    rnd.events.append(("reject", i, bid))
-        return rnd
-
+    clear = _bundle_clearing(instance, instance.students)
     return _deferred_acceptance(instance, rols, "bundle-da-simple", clear)
 
 
 def run_bundle_da_general(instance, rols, tiebreak=None):
     """Bundle deferred acceptance for arbitrary nested bundle systems.
 
-    Each round builds one applicant queue per school of the requested
-    bundles, sorted worst first by the school's priority.  A batch admits
-    every student who is the top of each school with a seat left in their
-    bundle; the queues only lose students, so every top is read by popping
-    resolved students off a queue's tail.  The batch's order is immaterial:
-    tie-break contenders are sorted by `tiebreak`, admits by the canonical
-    student order, and the overdemanded bundle is picked by bundle order.
-
-    `tiebreak` is a strict order over students (best first) consulted only
-    when a bundle lacks the seats to cover every sub-bundle about to admit;
-    it defaults to the instance's canonical student order.
+    `tiebreak` is a strict order over students (best first) that orders the
+    applications left equal by their counts; it defaults to the instance's
+    canonical student order and is never read on a simple system.
     """
     if tiebreak is None:
         tiebreak = instance.students
     if sorted(tiebreak) != sorted(instance.students):
         raise ValueError("tie-break order must be a permutation of the students")
-    tb_rank = {i: k for k, i in enumerate(tiebreak)}
-    tree = instance.tree
-
-    def clear(number, pending, held):
-        targets = {i: bid for i, bid in pending.items() if i not in held}
-        rnd = Round(number, targets, {}, [])
-        remaining = dict(tree.quota)
-
-        fresh_schools = set()
-        for bid in targets.values():
-            fresh_schools |= instance.bundles[bid].schools
-        active_bundles = {a for s in fresh_schools for a in tree.ancestors[s]}
-        active_schools = set()
-        for bid in active_bundles:
-            active_schools |= instance.bundles[bid].schools
-
-        # Holders untouched by this round's applications keep their seats;
-        # everyone else is released back into the competition.
-        admitted = rnd.admitted
-        for i, bid in held.items():
-            if instance.bundles[bid].schools & active_schools:
-                targets[i] = bid
-                rnd.events.append(("release", i, bid))
-            else:
-                tree.admit(remaining, bid)
-                admitted[i] = bid
-                rnd.events.append(("stay", i, bid))
-        unresolved = set(targets)
-        queues = {}
-        for i, bid in targets.items():
-            for s in instance.bundles[bid].schools:
-                queues.setdefault(s, []).append(i)
-        for s, queue in queues.items():
-            queue.sort(key=lambda i: instance.rank(s, i), reverse=True)
-
-        while True:
-            tops = {}
-            for s, queue in queues.items():
-                if remaining[s] > 0:
-                    while queue and queue[-1] not in unresolved:
-                        queue.pop()
-                    if queue:
-                        tops[s] = queue[-1]
-            if not tops:
-                break
-            batch = [
-                i
-                for i in dict.fromkeys(tops.values())
-                if all(
-                    tops.get(s) == i
-                    for s in instance.bundles[targets[i]].schools
-                    if remaining[s] > 0
-                )
-            ]
-            if not batch:
-                raise RuntimeError(
-                    "no admissible applicant despite waiting applicants"
-                )
-            claimed = set()
-            for i in batch:
-                schools = instance.bundles[targets[i]].schools
-                if not claimed.isdisjoint(schools):
-                    raise RuntimeError(
-                        "simultaneous admits with overlapping bundles"
-                    )
-                claimed |= schools
-
-            batch_bundles = {targets[i] for i in batch}
-            nested = {}  # active bundle -> batch bundles strictly inside it
-            for tb in batch_bundles:
-                for bid in tree.ancestors[tb]:
-                    if bid != tb and bid in active_bundles:
-                        nested.setdefault(bid, set()).add(tb)
-            overdemanded = {
-                bid: tbs for bid, tbs in nested.items() if remaining[bid] < len(tbs)
-            }
-            if overdemanded:
-                deficits = {
-                    bid: len(inside) - remaining[bid]
-                    for bid, inside in overdemanded.items()
-                }
-                maximal = [
-                    bid
-                    for bid in overdemanded
-                    if not any(
-                        other != bid
-                        and other in deficits
-                        and deficits[bid] <= deficits[other]
-                        for other in tree.ancestors[bid]
-                    )
-                ]
-                bid = min(maximal, key=instance.bundle_order.index)
-                contenders = sorted(
-                    (i for i in batch if targets[i] in overdemanded[bid]),
-                    key=lambda i: tb_rank[i],
-                )
-                taken = []
-                for i in contenders:
-                    if remaining[bid] == 0:
-                        break
-                    if remaining[targets[i]] == 0:
-                        continue
-                    tree.admit(remaining, targets[i])
-                    admitted[i] = targets[i]
-                    unresolved.discard(i)
-                    taken.append(i)
-                    rnd.events.append(("admit", i, targets[i], dict(remaining)))
-                tree.close(remaining, bid)
-                rnd.events.append(
-                    ("overdemand", bid, sorted(overdemanded[bid]), taken)
-                )
-                continue
-
-            for i in sorted(batch, key=instance.student_key):
-                tree.admit(remaining, targets[i])
-                admitted[i] = targets[i]
-                unresolved.discard(i)
-                rnd.events.append(("admit", i, targets[i], dict(remaining)))
-
-        for i in sorted(unresolved, key=instance.student_key):
-            rnd.rejected.append(i)
-            rnd.events.append(("reject", i, targets[i]))
-        return rnd
-
+    clear = _bundle_clearing(instance, tiebreak)
     return _deferred_acceptance(instance, rols, "bundle-da-general", clear)
 
 

@@ -157,6 +157,31 @@ def _supbundle_cases(instance, rols):
     return cases
 
 
+def to_ref(instance, rols):
+    """(schools, bundles, rols) of a market in `stability_oracle`'s plain form."""
+    schools = {
+        s: (school.quota, tuple(school.priority))
+        for s, school in instance.schools.items()
+    }
+    bundles = {
+        bundle.schools: set(bundle.targets)
+        for bundle in instance.bundles.values()
+    }
+    ref_rols = {
+        i: tuple(instance.bundles[bid].schools for bid in rols.get(i, []))
+        for i in instance.students
+    }
+    return schools, bundles, ref_rols
+
+
+def school_sets(instance, assignment):
+    """A {student: bundle id or None} assignment as `stability_oracle` keys."""
+    return {
+        i: (instance.bundles[bid].schools if bid is not None else None)
+        for i, bid in assignment.items()
+    }
+
+
 def check_instance(instance, rols):
     """Run every engine-level property on one instance.
 

@@ -407,10 +407,12 @@ def _supbundle_by_rerun(instance, rols, student, b, b_sup):
 def test_property_checks_match_the_rerun_references():
     """Both checks return what rerunning the truthful outcome on every call
     and trying every reordering returns, market by market, as the battery
-    and the benchmark call them."""
+    and the benchmark call them.  The engines are strategy-proof, so no
+    reordering helps; a sup-bundle swap can still hurt, first on the 533rd
+    spanning market."""
     rng = np.random.default_rng(2)
     markets = [random_simple_market(rng) for _ in range(200)]
-    markets += [random_spanning_market(rng) for _ in range(200)]
+    markets += [random_spanning_market(rng) for _ in range(600)]
     found = {"truthtelling": 0, "supbundle": 0}
     for instance, rols in markets:
         for i in instance.students:
@@ -422,7 +424,7 @@ def test_property_checks_match_the_rerun_references():
             result = property_supbundle_monotone(instance, rols, i, b, sup)
             assert result == _supbundle_by_rerun(instance, rols, i, b, sup)
             found["supbundle"] += result is not None
-    assert found["truthtelling"] >= 1 and found["supbundle"] >= 1
+    assert found["truthtelling"] == 0 and found["supbundle"] >= 1
 
 
 @pytest.fixture

@@ -8,8 +8,16 @@ simple engine's on the battery's simple markets).
 
 import numpy as np
 import pytest
+import stability_oracle
 from conftest import build, load_json
-from random_markets import random_simple_market, random_spanning_market, spanning_market
+from manipulation_oracle import profitable_misreports
+from random_markets import (
+    random_simple_market,
+    random_spanning_market,
+    school_sets,
+    spanning_market,
+    to_ref,
+)
 
 from bundlechoice import (
     check_bundle_stability,
@@ -101,23 +109,23 @@ def test_general_engine_reproduces_nested_walkthrough(nested, nested_rols):
     assert len(trace.rounds) == 5
 
     first = trace.rounds[0]
-    kinds = [(ev[0], ev[1], ev[2]) for ev in first.events]
-    assert kinds == [
-        ("admit", "i1", "s2"), ("admit", "i4", "s1"), ("admit", "i8", "s4"),
+    assert [ev[:3] for ev in first.events] == [
+        ("admit", "i8", "s4"), ("admit", "i1", "s2"), ("admit", "i4", "s1"),
         ("admit", "i5", "b123"), ("admit", "i2", "b23"),
         ("admit", "i3", "b23"), ("admit", "i7", "b23"),
         ("reject", "i6", "b23"),
     ]
-    i8_admit = first.events[2]
-    assert i8_admit[3] == {
+    i4_admit = first.events[2]
+    assert i4_admit[3] == {
         "s1": 1, "s2": 1, "s3": 2, "s4": 0, "s5": 1, "b23": 3, "b123": 4
     }
 
+    # Holders apply again every round: i6 displaces i8 at s4.
     second = trace.rounds[1]
     assert [ev[:3] for ev in second.events] == [
-        ("stay", "i1", "s2"), ("stay", "i4", "s1"), ("release", "i8", "s4"),
-        ("stay", "i5", "b123"), ("stay", "i2", "b23"), ("stay", "i3", "b23"),
-        ("stay", "i7", "b23"), ("admit", "i6", "s4"), ("reject", "i8", "s4"),
+        ("admit", "i6", "s4"), ("reject", "i8", "s4"), ("admit", "i1", "s2"),
+        ("admit", "i4", "s1"), ("admit", "i5", "b123"), ("admit", "i2", "b23"),
+        ("admit", "i3", "b23"), ("admit", "i7", "b23"),
     ]
 
 
@@ -227,25 +235,18 @@ DIVERGENCE_RAW = {
 DIVERGENCE_ROLS = {"m": ["W"], "i": ["s1"], "j": ["s2"]}
 
 
-def test_tiebreak_can_split_the_engines_on_a_simple_system():
-    """Overdemand resolution may consult the exogenous order even on simple
-    systems; an adverse order then diverges from the common-priority engine,
-    but both outcomes remain stable."""
+def test_tiebreak_cannot_split_the_engines_on_a_simple_system():
+    """On a simple system the general engine orders applications by the
+    common priority alone, so even an adverse tie-break order leaves it
+    equal to the simple engine."""
     instance = build(DIVERGENCE_RAW)
     nu_simple, _ = run_bundle_da_simple(instance, DIVERGENCE_ROLS)
     assert nu_simple.as_dict() == {"m": "W", "i": "s1", "j": None}
-
-    adverse, _ = run_bundle_da_general(
-        instance, DIVERGENCE_ROLS, tiebreak=["m", "j", "i"]
-    )
-    assert adverse.as_dict() == {"m": "W", "i": None, "j": "s2"}
-
     assert check_bundle_stability(nu_simple, DIVERGENCE_ROLS, instance).stable
-    assert check_bundle_stability(adverse, DIVERGENCE_ROLS, instance).stable
 
-    # the canonical order sides with the common priority here
-    canonical, _ = run_bundle_da_general(instance, DIVERGENCE_ROLS)
-    assert canonical == nu_simple
+    for tiebreak in (None, ["m", "j", "i"]):
+        general, _ = run_bundle_da_general(instance, DIVERGENCE_ROLS, tiebreak)
+        assert general == nu_simple
 
 
 def test_walkthrough_outcome_ignores_declaration_order(walkthrough_rols):
@@ -260,9 +261,10 @@ def test_walkthrough_outcome_ignores_declaration_order(walkthrough_rols):
     assert general.as_dict() == NU_41
 
 
-# The smallest market on which the general engine's overdemand branch goes
-# wrong: the student refused through the tie-break is rejected for good, and
-# a student of lower priority takes the seat in a later round.
+# The smallest market on which an earlier general engine, which resolved
+# overdemanded bundles by the tie-break order, went wrong: the student it
+# refused was rejected for good, and a student of lower priority took the
+# seat in a later round.
 REPRODUCER_RAW = {
     "students": ["i1", "i2", "i3", "i4", "i5"],
     "schools": [
@@ -278,7 +280,6 @@ REPRODUCER_ROLS = {"i1": ["s3", "s2"], "i2": ["b23", "s1"], "i3": ["b23", "s1"],
                    "i4": ["s3"], "i5": ["s2"]}
 
 
-@pytest.mark.xfail(strict=True, reason="general engine seats i1 at s2 over i5")
 def test_general_engine_is_stable_on_the_overdemand_reproducer():
     instance = build(REPRODUCER_RAW)
     nu, _ = run_bundle_da_general(instance, REPRODUCER_ROLS,
@@ -286,10 +287,78 @@ def test_general_engine_is_stable_on_the_overdemand_reproducer():
     assert check_bundle_stability(nu, REPRODUCER_ROLS, instance).stable
 
 
-# Full engine outputs on a fixed battery, digested at the last commit before
-# the general engine read its tops from per-school queues (the simple
-# engine's at the last commit before the engines shared one round loop).  A
-# speed-up or refactor of any engine must leave every round exactly as it was.
+def test_general_engine_is_stable_on_the_spanning_battery():
+    rng = np.random.default_rng(7)
+    markets = [random_spanning_market(rng) for _ in range(2000)]
+    markets.append((build(REPRODUCER_RAW), REPRODUCER_ROLS))
+    unstable = []
+    for k, (instance, rols) in enumerate(markets):
+        nu, _ = run_bundle_da_general(instance, rols)
+        if stability_oracle.stability_violations(
+                *to_ref(instance, rols), school_sets(instance, nu.as_dict())):
+            unstable.append(k)
+    assert unstable == []
+
+
+def test_general_engine_equals_the_simple_engine_on_simple_markets():
+    rng = np.random.default_rng(12345)
+    differ = []
+    for k in range(20000):
+        instance, rols = random_simple_market(rng)
+        if (run_bundle_da_general(instance, rols)[0]
+                != run_bundle_da_simple(instance, rols)[0]):
+            differ.append(k)
+    assert differ == []
+
+
+def _oracle_clearing(instance):
+    """`run_bundle_da` on `manipulation_oracle`'s plain ROLs and matchings."""
+    ids = {bundle.schools: bundle.id for bundle in instance.bundles.values()}
+
+    def clear(report):
+        rols = {i: [ids[entry] for entry in entries] for i, entries in report.items()}
+        return school_sets(instance, run_bundle_da(instance, rols)[0].as_dict())
+
+    return clear
+
+
+def test_no_student_gains_by_any_short_list():
+    """Every list of up to `rol_length` menu entries, not only reorderings
+    of the student's own list."""
+    rng = np.random.default_rng(7)
+    gains = []
+    for k in range(300):
+        instance, rols = random_spanning_market(rng)
+        _, bundles, listed = to_ref(instance, rols)
+        gains += [(k, *gain) for gain in profitable_misreports(
+            bundles, listed, instance.rol_length, _oracle_clearing(instance))]
+    assert gains == []
+
+
+def test_rounds_store_decisions_and_derive_snapshots(walkthrough, walkthrough_rols,
+                                                     nested, nested_rols):
+    """A round keeps only (kind, student, bundle) decisions; every read of
+    `events` rebuilds the quota snapshots afresh."""
+    for _, trace in (run_bundle_da_simple(walkthrough, walkthrough_rols),
+                     run_bundle_da_general(nested, nested_rols)):
+        for rnd in trace.rounds:
+            assert all(len(decision) == 3 and not any(
+                isinstance(part, dict) for part in decision)
+                for decision in rnd.decisions)
+            first, second = rnd.events, rnd.events
+            assert first == second
+            for event in first:
+                if event[0] == "admit":
+                    event[3].clear()
+            assert first != second
+            assert rnd.events == second
+
+
+# Full engine outputs on a fixed battery: the general engine's digested when
+# it came to clear over a fixed order of applications, the simple engine's at
+# the last commit before the engines shared one round loop, standard DA's
+# before that.  A speed-up or refactor of any engine must leave every round
+# exactly as it was.
 def _plain(value):
     """Dicts as item lists, so the digest sees insertion order too."""
     if isinstance(value, dict):
@@ -353,27 +422,27 @@ def _frozen_digests():
 
 FROZEN_DIGESTS = {
     "fixtures": (
-        "b46a371113545eb2e05c9488a28eed8dd0a6c165ed9f8f834cc823eb0141395e",
+        "f4de38d02b4c7afdeb9030055b4fce18c952e363c16b34280711c988d521b5ed",
         "8d69a3aef1613b89ed3e444534e46428f951cb4c475c8586477ff97c028e8587",
         "47649aa766872abf1273320573bde490428b7a43f323e9a22e19b0ed1b4ee96e",
     ),
     "reproducer": (
-        "3c42eee059cd22bc4b09af13dec739cd042c41ce95e2515ff2171de5b9dbd5c5",
+        "7b13c3920de2996b10583e50fddd693c248f696b048f56b59abd4035059e5ebb",
         "ef8ade1ed14b342e46875b6c2b49c8d3fa208fe5fe73ff46fe3a0356d4002f71",
         "dc3aaa043f5fc413641b9111d5b0ae057c2c612a0fba3ba1a4599d1541b40275",
     ),
     "spanning": (
-        "5c19f799fda1edd2b81ea2f94136fc465f54e8bba37f15240cb4bc09dc552e5c",
+        "9123af65db2ec05eae631eec837d4620d66f26bcca2bbb24c2b67c19d1f96f9b",
         "d78af83ed08c2a89951caa3216097d1559a795d9a278696b604953af36b6985d",
         "dfdc62957782035e940894d10a2c03dbf2cbc030391ffa5a64b13ee3506d8506",
     ),
     "simple": (
-        "9f9b191cc9150df9fbe57005ac9a8a2c4c1ad54db2d0bed31857e59101867eb0",
+        "f0941b0fab913742e078590a93f68eeddb2dfdd77b8f9be2ce68561111367afa",
         "6bce06bbfcc062e1bf8bf8db1c7847fc4f38f8c1b3dcf4a4729b1404771a97c7",
         "939fc09d42cfc1fef17f35b7fa030dd592f37c227680fc6c660df3a60583d5e9",
     ),
     "mid": (
-        "0ddcbd87143a251fd6207f964ec70d971da5de452534114b3bdb2a4814b4e576",
+        "8aff64eb57b82961c0ac9c4968330f8b3d560adbb0333b995d084562ea384dec",
         "5d5008ad5a2fee9cd357a71d58cae37d9b74224d0bb42afa4683431fa163a3ed",
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     ),
