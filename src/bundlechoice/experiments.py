@@ -292,24 +292,18 @@ def assignment_branches(config, rols, order):
         yield weight, assignment
 
 
-def _exp1_terminal_states(config, profile, fixed=None):
+def _exp1_terminal_states(config, profile):
     """Weighted terminal states of one experiment-1 group.
 
-    Yields (weight, types, priority order, assignment).  `fixed` optionally
-    pins student 0's (type, ROL) for deviation values; everyone else draws
+    Yields (weight, types, priority order, assignment): every student draws
     a type fairly and plays the profile.
     """
     students = tuple(range(config.n_students))
     orders = list(permutations(students))
     type_sets = [[(config.type_weights[t], t) for t in config.types]] * len(students)
-    if fixed is not None:
-        type_sets[0] = [(Fraction(1), fixed[0])]
     for typed in product(*type_sets):
         types = tuple(t for _, t in typed)
-        branch_sets = [profile.branches(t) for t in types]
-        if fixed is not None:
-            branch_sets[0] = [(Fraction(1), tuple(fixed[1]))]
-        for combo in product(*branch_sets):
+        for combo in product(*(profile.branches(t) for t in types)):
             weight = prod(p for p, _ in typed + combo) / len(orders)
             rols = {i: rol for i, (_, rol) in zip(students, combo)}
             for order in orders:
@@ -329,17 +323,47 @@ def exp1_exact_expectation(config, profile):
     return _metrics(1, weight, totals)
 
 
+def _exp1_seat_distribution(config, profile, rol):
+    """Student 0's exact seat distribution when she lists `rol`.
+
+    Everyone else draws a type fairly and plays the profile.  Admission reads
+    lists, never payoff types, so one other student's (type, branch) draws
+    fold into one weight per list, and the group's into one weight per tuple
+    of the others' lists; each tuple then runs once per priority order and
+    seat branch.  The result serves every payoff type of student 0.
+    """
+    marginal = {}
+    for t in config.types:
+        for p, other in profile.branches(t):
+            marginal[other] = marginal.get(other, 0) + config.type_weights[t] * p
+    orders = list(permutations(range(config.n_students)))
+    seats = {}
+    for combo in product(marginal.items(), repeat=config.n_students - 1):
+        weight = prod(p for _, p in combo) / len(orders)
+        rols = dict(enumerate((rol,) + tuple(other for other, _ in combo)))
+        for order in orders:
+            for w, assignment in assignment_branches(config, rols, order):
+                seats[assignment[0]] = seats.get(assignment[0], 0) + weight * w
+    return seats
+
+
+def _exp1_price(config, payoff_type, seats):
+    """Expected payoff of a seat distribution to one payoff type."""
+    return sum((p * config.payoff(payoff_type, s) for s, p in seats.items()), Fraction(0))
+
+
 def exp1_deviation_value(config, profile, deviant_type, deviant_rol):
-    """Exact expected payoff to one student deviating from the profile."""
+    """Exact expected payoff to one student deviating from the profile.
+
+    Prices student 0's seat distribution under the deviation list
+    (`_exp1_seat_distribution`) for her payoff type.
+    """
     profile.validate(config)
     deviant_rol = tuple(deviant_rol)
     deviation = {t: [(1, deviant_rol)] for t in config.types}
     StrategyProfile("per-type", deviation).validate(config)
-    states = _exp1_terminal_states(config, profile, fixed=(deviant_type, deviant_rol))
-    return sum(
-        (w * config.payoff(types[0], seats[0]) for w, types, _, seats in states),
-        Fraction(0),
-    )
+    seats = _exp1_seat_distribution(config, profile, deviant_rol)
+    return _exp1_price(config, deviant_type, seats)
 
 
 def feasible_rols(config):
@@ -355,16 +379,17 @@ def equilibrium_verify(config):
     """Best-response table for each payoff type against the equilibrium.
 
     Enumerates every feasible ROL, computes its exact deviation value, and
-    reports whether the equilibrium strategy attains the maximum.
+    reports whether the equilibrium strategy attains the maximum.  Each list
+    is enumerated once: student 0's seat distribution under it does not
+    depend on her payoff type, so it is priced for both types.
     """
     profile = equilibrium_profile(config)
+    seats = {rol: _exp1_seat_distribution(config, profile, rol)
+             for rol in feasible_rols(config)}
     report = {"treatment": config.treatment, "types": {}, "confirmed": True}
     for t in config.types:
         (_, equilibrium_rol), = profile.branches(t)
-        values = {
-            rol: exp1_deviation_value(config, profile, t, rol)
-            for rol in feasible_rols(config)
-        }
+        values = {rol: _exp1_price(config, t, dist) for rol, dist in seats.items()}
         best_value = max(values.values())
         best = sorted(rol for rol, v in values.items() if v == best_value)
         is_best = values[equilibrium_rol] == best_value
@@ -383,20 +408,24 @@ def equilibrium_verify(config):
 def sample_scores(n, seed):
     """n pairwise-distinct integer scores, rounded normal(70,10) on [1,100].
 
-    Out-of-range draws are resampled one by one; a within-group collision
-    redraws the whole group.  `seed` may be an int or a Generator.
+    Out-of-range draws are resampled together, in index order, until all are
+    in range; a within-group collision redraws the whole group.  `seed` may
+    be an int or a Generator.  Draws are rounded half to even by Python's
+    `round` and checked as a list: a six-student group is too small for
+    numpy's per-call overhead to pay.
     """
     if n > 100:
         raise ValueError("cannot draw more than 100 distinct scores")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     while True:
-        draw = np.rint(rng.normal(70, 10, n)).astype(int)
-        bad = (draw < 1) | (draw > 100)
-        while bad.any():
-            draw[bad] = np.rint(rng.normal(70, 10, int(bad.sum()))).astype(int)
-            bad = (draw < 1) | (draw > 100)
-        if len(set(draw.tolist())) == n:
-            return tuple(int(x) for x in draw)
+        draw = [round(x) for x in rng.normal(70.0, 10.0, n).tolist()]
+        bad = [k for k, x in enumerate(draw) if not 1 <= x <= 100]
+        while bad:
+            for k, x in zip(bad, rng.normal(70.0, 10.0, len(bad)).tolist()):
+                draw[k] = round(x)
+            bad = [k for k in bad if not 1 <= draw[k] <= 100]
+        if len(set(draw)) == n:
+            return tuple(draw)
 
 
 def _round_record(config, types, priority, assignment, scores=None):

@@ -270,12 +270,15 @@ def canonical_result(command, inputs, **blocks):
 
 
 def trace_csv(trace):
-    """One row per engine event: round, event, student, option."""
+    """One row per engine decision: round, event, student, option.
+
+    Reads each round's stored decisions, so no admit's quota snapshot is
+    rebuilt only to be dropped.
+    """
     lines = ["round,event,student,option"]
-    for event in trace.events():
-        number, kind, student = event[0], event[1], event[2]
-        option = event[3] if len(event) > 3 and isinstance(event[3], str) else ""
-        lines.append(f"{number},{kind},{student},{option}")
+    for rnd in trace.rounds:
+        lines += [f"{rnd.number},{kind},{student},{option}"
+                  for kind, student, option in rnd.decisions]
     return "\n".join(lines) + "\n"
 
 

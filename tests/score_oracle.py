@@ -8,6 +8,9 @@ Computes, without importing the package under test:
 * the exact mean/std of the integer-rounded variant (probability mass on
   1..100) as a cross-check that rounding shifts moments well inside the
   stated tolerances.
+
+It also keeps the score sampler as numpy array code, the reference that
+the package's plain-Python sampler must match draw for draw.
 """
 
 import math
@@ -51,3 +54,26 @@ if __name__ == "__main__":
     print(f"continuous truncated: mean={m:.6f} std={s:.6f}")
     m, s = rounded_moments()
     print(f"rounded variant     : mean={m:.6f} std={s:.6f}")
+
+
+def reference_sample_scores(n, rng, redraws=None):
+    """The score sampler as numpy array code, the reference for the stream.
+
+    Draws n rounded normal(70, 10) scores from the Generator `rng`, redraws
+    the out-of-range positions together until all lie in [1, 100] and
+    redraws the whole group on a collision.  `redraws`, a dict, counts the
+    "range" and "collision" redraws made.
+    """
+    import numpy as np
+
+    counts = {} if redraws is None else redraws
+    while True:
+        draw = np.rint(rng.normal(70, 10, n)).astype(int)
+        bad = (draw < 1) | (draw > 100)
+        while bad.any():
+            counts["range"] = counts.get("range", 0) + 1
+            draw[bad] = np.rint(rng.normal(70, 10, int(bad.sum()))).astype(int)
+            bad = (draw < 1) | (draw > 100)
+        if len(set(draw.tolist())) == n:
+            return tuple(int(x) for x in draw)
+        counts["collision"] = counts.get("collision", 0) + 1

@@ -9,11 +9,15 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations, product
+from math import prod
 from pathlib import Path
 
 import exp1_oracle as oracle
+import numpy as np
 import pytest
 from conftest import FIXTURES
+from score_oracle import reference_sample_scores
 
 import bundlechoice
 from bundlechoice import (
@@ -36,6 +40,7 @@ from bundlechoice import (
     sample_scores,
     simulate_rounds,
 )
+from bundlechoice.experiments import assignment_branches
 
 F = Fraction
 
@@ -82,6 +87,73 @@ def test_every_deviation_value_matches_reference(treatment):
             assert exp1_deviation_value(config, profile, t, rol) == (
                 oracle.deviation_value(treatment, ref_profile, t, rol)
             ), (treatment, t, rol)
+
+
+def _per_list_deviation_value(config, profile, deviant_type, deviant_rol):
+    """A deviation value by enumerating every terminal state of the group
+    with student 0's type and list pinned, once per (type, list)."""
+    students = tuple(range(config.n_students))
+    orders = list(permutations(students))
+    value = F(0)
+    for others in product(config.types, repeat=len(students) - 1):
+        type_weight = prod(config.type_weights[t] for t in others)
+        branch_sets = [[(F(1), tuple(deviant_rol))]]
+        branch_sets += [profile.branches(t) for t in others]
+        for combo in product(*branch_sets):
+            weight = type_weight * prod(p for p, _ in combo) / len(orders)
+            rols = {i: rol for i, (_, rol) in zip(students, combo)}
+            for order in orders:
+                for w, seats in assignment_branches(config, rols, order):
+                    value += weight * w * config.payoff(deviant_type, seats[0])
+    return value
+
+
+def _per_list_verify(config):
+    """The best-response table built from `_per_list_deviation_value`."""
+    profile = equilibrium_profile(config)
+    report = {"treatment": config.treatment, "types": {}, "confirmed": True}
+    for t in config.types:
+        (_, equilibrium_rol), = profile.branches(t)
+        values = {rol: _per_list_deviation_value(config, profile, t, rol)
+                  for rol in feasible_rols(config)}
+        best_value = max(values.values())
+        is_best = values[equilibrium_rol] == best_value
+        report["types"][t] = {
+            "equilibrium": equilibrium_rol,
+            "equilibrium_value": values[equilibrium_rol],
+            "best": sorted(rol for rol, v in values.items() if v == best_value),
+            "best_value": best_value,
+            "values": values,
+            "is_best_response": is_best,
+        }
+        report["confirmed"] = report["confirmed"] and is_best
+    return report
+
+
+@pytest.mark.parametrize("treatment", sorted(TABLE_1))
+def test_equilibrium_verify_equals_the_per_list_enumeration(treatment):
+    config = Exp1Config(treatment)
+    report = equilibrium_verify(config)
+    assert report == _per_list_verify(config)
+    assert list(report["types"]["A"]["values"]) == feasible_rols(config)
+
+
+def test_deviation_values_under_the_mixed_empirical_profile():
+    """Both types list AC with positive probability, so the other students'
+    draws of different types share lists; every deviation value still
+    matches the reference mechanism and the per-list enumeration."""
+    config = Exp1Config("strict-bundle")
+    profile = parse_profile(str(FIXTURES / "profiles" / "strict_bundle_empirical.json"))
+    profile.validate(config)
+    lists = [{rol for _, rol in profile.branches(t)} for t in config.types]
+    assert set.intersection(*lists)
+    ref_profile = {t: list(profile.branches(t)) for t in config.types}
+    for t in config.types:
+        for rol in feasible_rols(config):
+            value = exp1_deviation_value(config, profile, t, rol)
+            assert value == oracle.deviation_value(
+                "strict-bundle", ref_profile, t, rol), (t, rol)
+            assert value == _per_list_deviation_value(config, profile, t, rol)
 
 
 def test_two_slot_treatment_deviation_table():
@@ -373,12 +445,31 @@ def test_score_sampler_is_deterministic_and_in_range():
         sample_scores(101, 0)
 
 
+def test_score_stream_matches_the_numpy_sampler():
+    """Same groups and same generator state afterwards as the numpy array
+    sampler, over seeds that reach both the out-of-range and the collision
+    redraw."""
+    redraws = {}
+    for n in (1, 2, 6, 12):
+        for seed in range(200):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                assert sample_scores(n, ours) == reference_sample_scores(n, ref, redraws)
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert ours.normal() == ref.normal()
+    assert redraws["range"] >= 50
+    assert redraws["collision"] >= 1000
+
+
+def test_python_round_breaks_ties_like_numpy_rint():
+    for x in (0.5, 1.5, 2.5, 69.5, 70.5, 99.5, 100.5, -0.5, -1.5):
+        assert round(x) == int(np.rint(x)), x
+
+
 def test_distinctness_inflates_group_score_spread():
     """Whole-group redraws condition on all-distinct draws, which widens
     the realized spread of grouped scores; single draws keep the plain
     truncated-normal spread near 10."""
-    import numpy as np
-
     rng = np.random.default_rng(2026)
     groups = np.array([sample_scores(6, rng) for _ in range(12000)])
     singles = np.array([sample_scores(1, rng)[0] for _ in range(20000)])

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import FIXTURES, load_json
+from random_markets import spanning_market
 
 from bundlechoice import (
     ValidationReport,
@@ -20,8 +21,10 @@ from bundlechoice import (
     parse_matching,
     parse_profile,
     parse_rols,
+    run_bundle_da,
     run_bundle_da_simple,
     run_cli,
+    run_standard_da,
     serialize_instance,
     trace_csv,
 )
@@ -156,6 +159,37 @@ def test_trace_csv_rows(walkthrough, walkthrough_rols):
     assert len(lines) == 1 + 32
     assert lines[1] == "1,admit,i1,s1"
     assert lines[-1] == "4,reject,i4,s5"
+
+
+def _events_csv(trace):
+    """The trace CSV as it was built from the replayed event stream, each
+    admit carrying a quota snapshot that the row drops."""
+    lines = ["round,event,student,option"]
+    for event in trace.events():
+        number, kind, student = event[0], event[1], event[2]
+        option = event[3] if len(event) > 3 and isinstance(event[3], str) else ""
+        lines.append(f"{number},{kind},{student},{option}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_equals_the_event_stream_csv(nested, nested_rols, tiny_market,
+                                               tiny_rols):
+    rng = np.random.default_rng(2804)
+    large, large_rols = spanning_market(rng, 800, [4] * 8, 25, 40, 3)
+    tiebreak = [large.students[k] for k in rng.permutation(800)]
+    traces = [
+        run_bundle_da(nested, nested_rols)[1],
+        run_standard_da(tiny_market, tiny_rols)[1],
+        run_bundle_da(large, large_rols, tiebreak)[1],
+    ]
+    for trace in traces:
+        assert trace_csv(trace) == _events_csv(trace)
+    def kinds(trace):
+        return {row.split(",")[1] for row in trace_csv(trace).splitlines()[1:]}
+
+    assert kinds(traces[1]) == {"hold", "reject"}
+    assert kinds(traces[2]) == {"admit", "reject"}
+    assert len(traces[2].rounds) > 1
 
 
 def test_metrics_csv_via_dispatch():
