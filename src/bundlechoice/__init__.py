@@ -50,7 +50,6 @@ from .implementation import (
     ImplementationPolicy,
     enumerate_implementations,
     implement,
-    implement_with_preferences,
 )
 from .io import (
     canonical_document,

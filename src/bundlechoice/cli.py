@@ -354,12 +354,23 @@ def _cmd_trace(args):
     return 0
 
 
-def _seed(text):
-    """A --seed value: numpy seeds its generators from non-negative integers."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {value}")
-    return value
+def _int_at_least(low, kind):
+    """An argparse type for integers of at least `low`; a smaller one is a
+    usage error, and a non-integer reads "invalid int value" as with `int`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer: {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+# numpy seeds its generators from non-negative integers; an oracle bound
+# counts candidate assignments, so it is at least one.
+_seed = _int_at_least(0, "non-negative")
+_oracle_bound = _int_at_least(1, "positive")
 
 
 def build_parser():
@@ -418,13 +429,13 @@ def build_parser():
     p.add_argument("notion", choices=("size-max", "pusm"))
     market(p)
     p.add_argument("matching")
-    p.add_argument("--oracle-bound", type=int, default=10**7)
+    p.add_argument("--oracle-bound", type=_oracle_bound, default=10**7)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("improve", help="search for a stable Pareto improvement")
     market(p)
     p.add_argument("matching")
-    p.add_argument("--oracle-bound", type=int, default=10**7)
+    p.add_argument("--oracle-bound", type=_oracle_bound, default=10**7)
     p.set_defaults(func=_cmd_improve)
 
     p = sub.add_parser("audit-rol", help="flag dominated ROL patterns")

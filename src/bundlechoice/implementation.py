@@ -9,8 +9,12 @@ raises `RuntimeError` rather than being patched.
 
 Three seat-picking policies are provided: a deterministic lexicographic one
 (reproducible goldens), a seeded-random one (uniform over free seat slots,
-drawn with numpy's default generator), and one that runs a within-bundle
-deferred acceptance on student-submitted school rankings.
+drawn with numpy's default generator), and one that follows
+student-submitted school rankings.  The last seats a bundle's admits one at
+a time in the bundle's priority order, each at her best school with a seat
+left.  Priority uniformity makes every school of a bundle rank its admits
+alike, and under one common priority order this serial pass is the unique
+stable outcome, the one within-bundle deferred acceptance would reach.
 """
 
 from dataclasses import dataclass
@@ -36,7 +40,8 @@ class ImplementationPolicy:
 
 
 def _stage_plan(nu):
-    """Forced seats, remaining free seats, and bundle groups by size."""
+    """Forced seats, remaining free seats, and bundle groups by size, each
+    group in canonical student order."""
     instance = nu.instance
     seats = {i: None for i in instance.students}
     free = {s: school.quota for s, school in instance.schools.items()}
@@ -71,84 +76,50 @@ def _bundle_pool(instance, free, bundle_id):
 
 
 def implement(nu, policy):
-    """Assign every bundle-admitted student a seat inside her bundle."""
-    instance = nu.instance
-    if policy.mode == "prefs":
-        return implement_with_preferences(nu, policy.preferences)
-    rng = np.random.default_rng(policy.seed) if policy.mode == "random" else None
+    """Assign every bundle-admitted student a seat inside her bundle.
 
+    `det` and `prefs` seat each bundle's admits in one serial pass: one
+    student at a time takes the first school in her ranking with a seat
+    left.  Under `det` students go in canonical order and all rank the
+    bundle's free schools canonically; under `prefs` they go in the bundle's
+    shared priority order and use their submitted rankings, which is the
+    unique stable within-bundle outcome.  `random` deals each bundle's
+    admits a uniform draw of its free seat slots.
+    """
+    instance = nu.instance
+    rng = np.random.default_rng(policy.seed) if policy.mode == "random" else None
     seats, free, ordered = _stage_plan(nu)
     for bid, students in ordered:
-        students = sorted(students, key=instance.student_key)
-        if policy.mode == "det":
-            for i in students:
-                pool = _bundle_pool(instance, free, bid)
-                if not pool:
-                    raise RuntimeError(f"no free seat left in bundle {bid}")
-                seats[i] = pool[0]
-                free[pool[0]] -= 1
-        else:
-            slots = [
-                s for s in _bundle_pool(instance, free, bid) for _ in range(free[s])
-            ]
+        pool = _bundle_pool(instance, free, bid)
+        if policy.mode == "random":
+            slots = [s for s in pool for _ in range(free[s])]
             if len(slots) < len(students):
                 raise RuntimeError(f"no free seat left in bundle {bid}")
             picks = rng.permutation(len(slots))[: len(students)]
             for i, k in zip(students, picks):
                 seats[i] = slots[k]
                 free[slots[k]] -= 1
-    return StandardMatching(instance, seats)
-
-
-def implement_with_preferences(nu, preferences):
-    """Seat bundle admits by deferred acceptance over their own rankings.
-
-    Students admitted by the same bundle compete for its remaining seats
-    using the school rankings they submit for this stage; schools apply
-    their common priority order restricted to the bundle's admittees, so
-    the outcome inherits stability within each bundle.
-    """
-    instance = nu.instance
-    seats, free, ordered = _stage_plan(nu)
-    for bid, students in ordered:
-        schools = instance.bundles[bid].schools
+            continue
+        if policy.mode == "prefs":
+            schools = instance.bundles[bid].schools
+            for i in students:
+                ranking = policy.preferences.get(i)
+                if ranking is None:
+                    raise ValueError(f"no second-stage ranking for student {i}")
+                if len(ranking) != len(schools) or set(ranking) != schools:
+                    raise ValueError(
+                        f"student {i}: ranking must cover exactly the schools of "
+                        f"bundle {bid}"
+                    )
+            anchor = min(schools)  # all of the bundle's schools agree on admits
+            students = sorted(students, key=lambda i: instance.rank(anchor, i))
         for i in students:
-            ranking = preferences.get(i)
-            if ranking is None:
-                raise ValueError(f"no second-stage ranking for student {i}")
-            if set(ranking) != schools:
-                raise ValueError(
-                    f"student {i}: ranking must cover exactly the schools of "
-                    f"bundle {bid}"
-                )
-        anchor = min(schools)  # all of the bundle's schools agree on admittees
-        capacity = {s: free[s] for s in schools}
-        pointer = {i: 0 for i in students}
-        held = {s: [] for s in schools}
-        placed = {}
-        while True:
-            waiting = [
-                i for i in students if i not in placed and pointer[i] < len(schools)
-            ]
-            if not waiting:
-                break
-            for i in waiting:
-                school = preferences[i][pointer[i]]
-                held[school].append(i)
-            for s, pool in held.items():
-                pool.sort(key=lambda i: instance.rank(anchor, i))
-                for loser in pool[capacity[s] :]:
-                    pointer[loser] += 1
-                del pool[capacity[s] :]
-            placed = {i: s for s, pool in held.items() for i in pool}
-            held = {s: list(pool) for s, pool in held.items()}
-            for s in held:
-                held[s] = [i for i in held[s] if placed.get(i) == s]
-        if len(placed) != len(students):
-            raise RuntimeError(f"no free seat left in bundle {bid}")
-        for i, s in placed.items():
-            seats[i] = s
-            free[s] -= 1
+            ranking = pool if policy.mode == "det" else policy.preferences[i]
+            school = next((s for s in ranking if free[s] > 0), None)
+            if school is None:
+                raise RuntimeError(f"no free seat left in bundle {bid}")
+            seats[i] = school
+            free[school] -= 1
     return StandardMatching(instance, seats)
 
 
@@ -160,11 +131,7 @@ def enumerate_implementations(nu, cap=10000):
     """
     instance = nu.instance
     seats, free, ordered = _stage_plan(nu)
-    roaming = [
-        (i, bid)
-        for bid, students in ordered
-        for i in sorted(students, key=instance.student_key)
-    ]
+    roaming = [(i, bid) for bid, students in ordered for i in students]
     results = []
     truncated = False
 

@@ -35,9 +35,6 @@ class School:
     quota: int
     priority: tuple  # strict order over all student ids, best first
 
-    def rank(self, student):
-        return self.priority.index(student)
-
 
 @dataclass(frozen=True)
 class Bundle:
@@ -393,28 +390,19 @@ def validate_rols(instance, rols):
 
 
 @dataclass(frozen=True)
-class SubHierarchy:
-    """One branch of a simple system: nested bundles under a common order."""
-
-    schools: frozenset
-    bundle_ids: tuple
-    order: tuple  # the shared priority order governing every school inside
-
-
-@dataclass(frozen=True)
 class SimplicityInfo:
     simple: bool
-    hierarchies: tuple = ()
     reason: str = ""
 
 
 def detect_simplicity(instance):
     """Decide whether every bundle's schools share one full priority order.
 
-    When they do, the bundle system splits into disjoint sub-hierarchies --
-    one per maximal bundle -- and each sub-hierarchy is governed by a single
-    order over students.  Returns a SimplicityInfo either way, the same one
-    on every call for the same instance (`Instance.simplicity`).
+    When they do, each root of the bundle tree (`instance.tree.roots`) and
+    every bundle inside it is governed by its schools' single order over
+    students.  Returns a SimplicityInfo either way, the same one on every
+    call for the same instance (`Instance.simplicity`); `reason` names the
+    first bundle whose schools disagree.
     """
     return instance.simplicity
 
@@ -429,17 +417,7 @@ def _find_simplicity(instance):
             return SimplicityInfo(
                 False, reason=f"schools in bundle {bid} use different priority orders"
             )
-
-    tree = instance.tree
-    hierarchies = []
-    for root in tree.roots:
-        schools = instance.bundles[root].schools
-        hierarchies.append(
-            SubHierarchy(
-                schools, tree.descendants[root], instance.schools[min(schools)].priority
-            )
-        )
-    return SimplicityInfo(True, tuple(hierarchies))
+    return SimplicityInfo(True)
 
 
 class InducedPreference:

@@ -1,12 +1,22 @@
-"""Second stage: turning bundle admissions into seat assignments."""
+"""Second stage: turning bundle admissions into seat assignments.
 
+A seeded battery checks `prefs` seating against the within-bundle deferred
+acceptance in `seating_reference` and pins `det` and `random` seating by
+digest.
+"""
+
+import numpy as np
 import pytest
+from random_markets import random_simple_market, random_spanning_market, spanning_market
+from seating_reference import reference_prefs_seating
 
 from bundlechoice import (
     ImplementationPolicy,
+    content_digest,
     enumerate_implementations,
     implement,
     implements,
+    run_bundle_da,
     run_bundle_da_general,
     run_bundle_da_simple,
 )
@@ -124,9 +134,10 @@ def test_preference_stage_validates_rankings(nu_41):
     prefs["i2"] = ["s2", "s4", "s1", "s3"]
     with pytest.raises(ValueError, match="no second-stage ranking"):
         implement(nu_41, ImplementationPolicy(mode="prefs", preferences=prefs))
-    prefs["i8"] = ["s4", "s2"]
-    with pytest.raises(ValueError, match="cover exactly"):
-        implement(nu_41, ImplementationPolicy(mode="prefs", preferences=prefs))
+    for short_or_repeated in (["s4", "s2"], ["s4", "s2", "s1", "s3", "s3"]):
+        prefs["i8"] = short_or_repeated
+        with pytest.raises(ValueError, match="cover exactly"):
+            implement(nu_41, ImplementationPolicy(mode="prefs", preferences=prefs))
 
 
 def test_policy_validation():
@@ -136,3 +147,57 @@ def test_policy_validation():
         ImplementationPolicy(mode="random")
     with pytest.raises(ValueError, match="per-student rankings"):
         ImplementationPolicy(mode="prefs")
+
+
+# `det` and `random` (seed = case index) seating over the whole battery.
+BATTERY_DET_DIGEST = "9975c5da304e312ecf9164591b775a3055d4e8f5b2f386b212a1680b94288e69"
+BATTERY_RANDOM_DIGEST = "94fa70d6837f7e8db87891b2e94b2a0edfb6480c9e64b8f2dff3a65e04fa5905"
+
+
+def _stage_rankings(rng, nu):
+    """A random ranking of her bundle's schools for every bundle admit."""
+    instance = nu.instance
+    rankings = {}
+    for i in instance.students:
+        bid = nu[i]
+        if bid is None or instance.bundles[bid].trivial:
+            continue
+        schools = [s for s in instance.school_order if s in instance.bundles[bid].schools]
+        rankings[i] = [schools[k] for k in rng.permutation(len(schools))]
+    return rankings
+
+
+@pytest.fixture(scope="module")
+def seating_battery():
+    """(bundle-matching, stage rankings) cases: 2,500 random simple markets,
+    1,000 random spanning markets and one 800-student grouped market, each
+    with three random stage rankings -- 10,503 cases."""
+    rng = np.random.default_rng(2026)
+    markets = [random_simple_market(rng) for _ in range(2500)]
+    markets += [random_spanning_market(rng) for _ in range(1000)]
+    markets.append(spanning_market(rng, 800, [4] * 8, 25, 40, 3))
+    cases = []
+    for instance, rols in markets:
+        nu, _ = run_bundle_da(instance, rols)
+        cases += [(nu, _stage_rankings(rng, nu)) for _ in range(3)]
+    return cases
+
+
+def test_preference_seating_equals_within_bundle_deferred_acceptance(seating_battery):
+    bumped = 0  # cases where some admit misses her first choice
+    for nu, rankings in seating_battery:
+        mu = implement(nu, ImplementationPolicy("prefs", preferences=rankings))
+        assert mu == reference_prefs_seating(nu, rankings)
+        bumped += any(mu[i] != ranking[0] for i, ranking in rankings.items())
+    assert len(seating_battery) == 10503
+    assert bumped >= 2500
+
+
+def test_det_and_random_seating_on_the_battery_are_pinned(seating_battery):
+    det = [implement(nu, DET).as_dict() for nu, _ in seating_battery]
+    rand = [
+        implement(nu, ImplementationPolicy("random", seed=k)).as_dict()
+        for k, (nu, _) in enumerate(seating_battery)
+    ]
+    assert content_digest(det) == BATTERY_DET_DIGEST
+    assert content_digest(rand) == BATTERY_RANDOM_DIGEST

@@ -377,6 +377,17 @@ def test_cli_oracles_and_improve(capsys):
     assert "exceed the bound of 1" in err
 
 
+@pytest.mark.parametrize("command", [("oracle", "size-max"), ("improve",)],
+                         ids=["oracle", "improve"])
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_cli_oracle_bound_below_one_is_a_usage_error(capsys, command, bound):
+    code, out, err = cli(capsys, *command, path("five_student_market.json"),
+                         path("five_student_market_rols.json"),
+                         path("five_student_matching.json"), "--oracle-bound", bound)
+    assert (code, out) == (2, "")
+    assert f"argument --oracle-bound: must be a positive integer: {bound}" in err
+
+
 def test_cli_audit_rol_warnings(capsys, tmp_path):
     rols = tmp_path / "rols.json"
     rols.write_text(json.dumps({"rols": {"i1": ["b1234", "b12"]}}))

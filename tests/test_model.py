@@ -34,14 +34,20 @@ def test_seven_school_system_valid_but_not_simple():
 def test_seven_school_system_without_spanning_bundle_is_simple(walkthrough):
     info = detect_simplicity(walkthrough)
     assert info.simple
-    branches = [h for h in info.hierarchies if len(h.schools) > 1]
-    assert sorted(sorted(h.schools) for h in branches) == [
+    branches = [walkthrough.bundles[r].schools for r in walkthrough.tree.roots]
+    branches = [schools for schools in branches if len(schools) > 1]
+    assert sorted(sorted(schools) for schools in branches) == [
         ["s1", "s2", "s3", "s4"],
         ["s5", "s6", "s7"],
     ]
-    orders = {tuple(sorted(h.schools)): h.order for h in branches}
-    assert orders[("s1", "s2", "s3", "s4")][:4] == ("i1", "i2", "i3", "i8")
-    assert orders[("s5", "s6", "s7")][:4] == ("i6", "i7", "i5", "i4")
+    orders = {
+        tuple(sorted(schools)): {walkthrough.schools[s].priority for s in schools}
+        for schools in branches
+    }
+    (order,) = orders[("s1", "s2", "s3", "s4")]
+    assert order[:4] == ("i1", "i2", "i3", "i8")
+    (order,) = orders[("s5", "s6", "s7")]
+    assert order[:4] == ("i6", "i7", "i5", "i4")
 
 
 def test_overlapping_bundles_must_nest():
@@ -134,7 +140,8 @@ def test_trivial_bundles_synthesized_and_on_every_menu(walkthrough):
 def test_trivial_only_system_is_simple_with_one_branch_per_school(tiny_market):
     info = detect_simplicity(tiny_market)
     assert info.simple
-    assert len(info.hierarchies) == len(tiny_market.school_order)
+    roots = [sorted(tiny_market.bundles[r].schools) for r in tiny_market.tree.roots]
+    assert sorted(roots) == [[s] for s in sorted(tiny_market.school_order)]
 
 
 def test_nesting_is_a_forest(walkthrough, nested):
