@@ -2,24 +2,37 @@
 
 Every engine consumes a validated instance plus a ROL mapping {student:
 sequence of bundle ids} and returns a (BundleMatching, EngineTrace) pair.
-They share one deferred-acceptance loop, `_deferred_acceptance`, which keeps
-each student's place in her list and the seats held after the last round,
-stops once every student with an entry left holds a seat, and moves each
-rejected student one entry down; an engine supplies only how one round
-clears.  Rejection always consumes one ROL slot, so every engine halts within
+They share one deferred-acceptance loop, `_deferred_acceptance`.  Its first
+round sends every student to the first entry of her list; each later round
+sends only the students the round before rejected, each to her next entry,
+and the run stops once a round leaves no rejected student with an entry
+left.  Rejection always consumes one ROL slot, so every engine halts within
 |students| * rol_length rounds.
 
-*Standard DA* pools each school's holders with its new proposers and keeps
-the quota's best by priority.
+Seats are held across rounds in `_Seats`; a round places only its new
+applications, one at a time in canonical student order.  An application is
+a pair (student i, bundle b); b's chain is b and every bundle containing
+it, and every bundle keeps the holders inside it sorted by key.
 
-Both *bundle* engines clear a round the same way, in `_bundle_clearing`.  An
-application is a pair (student i, bundle b).  Each round, per root of the
-bundle tree, the pending applications, held and new alike, are sorted by a
-key that depends on the instance alone; each is admitted exactly when its
-bundle still has a seat (`BundleTree.admit` charges the bundle and every
-bundle containing it, closing any that runs out), and the rest are rejected.
+* *Admit:* if every bundle on b's chain has a seat left, (i, b) takes one.
+* *Exchange:* otherwise (i, b) meets the worst-keyed holder of the smallest
+  full bundle on the chain, and of the two the one later in key order is
+  rejected.
 
-The key of (i, b) under root r:
+This is the greedy pass that admits all of a round's pending applications
+in key order while their bundle has a seat.  Nested quotas define a laminar
+matroid, whose independent sets are the seatings that keep every quota, and
+the greedy pass picks its basis of least keys (keys are distinct within a
+root).  Adding one application e to a set whose best basis is B, either
+B + e is independent, or it holds exactly one circuit, e plus the holders of
+the smallest full bundle on e's chain, and the best basis of the larger set
+is B + e less that circuit's worst element.  A round's pending applications
+are the last round's holders plus its new applications, and the basis does
+not depend on the order they arrive in, so placing the new ones into the
+held seats gives the greedy pass's outcome.  Standard DA is the same with
+each school its own chain, keyed by its priority.
+
+The key of (i, b) under root r of the bundle tree:
 
 * if every school under r has the same priority order, i's rank in it;
 * otherwise, with s the first school of b in canonical order: for each
@@ -47,36 +60,88 @@ Why the outcome is stable and strategy-proof for students (a proof sketch):
   (Hatfield-Milgrom 2005, AER 95(4); laminar quotas in Kamada-Kojima 2015,
   AER 105(1)).
 
-A round stores only its decisions, ("admit", i, b) and ("reject", i, b).
-`Round.events` adds to each admit the seats left in every bundle after it,
-rebuilt by replaying the round's admits from the full quotas.
+A round stores only what changed in it: the applications made anew and the
+students rejected, with links to the round before and to the run's lists
+and keys.  Everything else is derived when read.  Its `decisions` are, per
+root in tree order, the round's pending applications in key order, each
+("admit", i, b) unless rejected; standard DA's are, per school in the order
+schools were first proposed to, its losers and then its holders by priority.
+`applications`, `admitted` and `rejected` follow from them, and `events`
+adds to each admit the seats left in every bundle after it, replayed from
+the full quotas.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import count
 
 from .model import BundleMatching, detect_simplicity
 
 
-@dataclass
+@dataclass(eq=False)
+class _Run:
+    """What every round of one run shares: each student's list, the key of
+    every application placed, and how a round lays out its views."""
+
+    rol: dict  # student -> her entries, in canonical student order
+    tree: object  # replays admit snapshots; None when no decision admits
+    applications: object  # Round -> its `applications` view
+    decisions: object  # Round -> its `decisions` view
+    keys: dict = field(default_factory=dict)  # (student, bundle) -> key
+
+
 class Round:
-    number: int
-    applications: dict  # student -> bundle asked for (or held) this round
-    admitted: dict  # holdings at the end of the round
-    rejected: list
-    decisions: list = field(default_factory=list)  # (kind, student, option)
-    tree: object = field(default=None, repr=False)  # replays admit snapshots
+    """One deferred-acceptance round, stored as what changed in it."""
+
+    __slots__ = ("number", "proposals", "losers", "previous", "run")
+
+    def __init__(self, number, proposals, losers, previous, run):
+        self.number = number
+        self.proposals = proposals  # student -> entry applied to anew
+        self.losers = losers  # frozenset of the students rejected
+        self.previous = previous  # the round before, or None
+        self.run = run
+
+    def pending(self):
+        """Every student's entry this round, held or new, in canonical order."""
+        pointer = dict.fromkeys(self.run.rol, 0)
+        rnd = self.previous
+        while rnd is not None:
+            for i in rnd.losers:
+                pointer[i] += 1
+            rnd = rnd.previous
+        return {i: entries[pointer[i]] for i, entries in self.run.rol.items()
+                if pointer[i] < len(entries)}
+
+    @property
+    def applications(self):
+        return self.run.applications(self)
+
+    @property
+    def decisions(self):
+        """(kind, student, option) in the order the round decided them."""
+        return self.run.decisions(self)
+
+    @property
+    def admitted(self):
+        """Holdings at the end of the round."""
+        return {i: option for kind, i, option in self.decisions
+                if kind != "reject"}
+
+    @property
+    def rejected(self):
+        return [i for kind, i, _ in self.decisions if kind == "reject"]
 
     @property
     def events(self):
         """The decisions in order, each admit followed by a fresh copy of
         every bundle's seats left after it."""
-        remaining = dict(self.tree.quota) if self.tree else None
+        tree = self.run.tree
+        remaining = dict(tree.quota) if tree else None
         events = []
         for decision in self.decisions:
             if decision[0] == "admit":
-                self.tree.admit(remaining, decision[2])
+                tree.admit(remaining, decision[2])
                 decision += (dict(remaining),)
             events.append(decision)
         return events
@@ -98,34 +163,98 @@ class EngineTrace:
                 yield (rnd.number,) + ev
 
 
-def _deferred_acceptance(instance, rols, name, clear):
+class _Seats:
+    """The applications holding seats, kept as the best basis of the laminar
+    matroid the quotas define (see the module docstring)."""
+
+    def __init__(self, quota, chains, keys):
+        self.quota = quota  # bundle -> seats
+        self.chains = chains  # bundle -> it and the bundles around it, smallest first
+        self.keys = keys
+        self.holders = {b: [] for b in quota}  # (key, student) inside b, by key
+        self.held = {}  # student -> bundle
+
+    def place(self, i, b):
+        """Place application (i, b); return the student it leaves without a
+        seat, or None."""
+        key = self.keys[i, b]
+        chain = self.chains[b]
+        worst = None
+        for a in chain:
+            holders = self.holders[a]
+            if len(holders) == self.quota[a]:
+                worst_key, worst = holders[-1]
+                if key > worst_key:
+                    return i
+                self._drop(worst)
+                break
+        self.held[i] = b
+        for a in chain:
+            insort(self.holders[a], (key, i))
+        return worst
+
+    def _drop(self, i):
+        b = self.held.pop(i)
+        entry = (self.keys[i, b], i)
+        for a in self.chains[b]:
+            holders = self.holders[a]
+            del holders[bisect_left(holders, entry)]
+
+
+def _deferred_acceptance(instance, name, seats, key, run):
     """The student-proposing loop all three engines share.
 
-    Each round, every student with an entry left is pending on that entry, in
-    canonical order; a holder's pending entry is the bundle she holds.
-    `clear(number, pending, held)` returns the round; its `admitted` map
-    becomes the next `held`, so `clear` must not mutate `held`, which the
-    trace keeps.
+    Each round places its new applications, in canonical order, into
+    `seats`, keyed by `key(i, b)`; the students it rejects move one entry
+    down, and those with an entry left make the next round's applications.
     """
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
-    pointer = dict.fromkeys(instance.students, 0)
-    held = {}
+    rol = run.rol
+    pointer = dict.fromkeys(rol, 0)
+    proposals = {i: entries[0] for i, entries in rol.items() if entries}
     trace = EngineTrace(name)
+    rnd = None
     for number in count(1):
-        pending = {
-            i: rol[i][pointer[i]]
-            for i in instance.students
-            if pointer[i] < len(rol[i])
-        }
-        if all(i in held for i in pending):
-            return BundleMatching(instance, held), trace
+        if not proposals:
+            return BundleMatching(instance, seats.held), trace
         if number > len(instance.students) * instance.rol_length + 1:
             raise RuntimeError("round limit exceeded; engine failed to settle")
-        rnd = clear(number, pending, held)
-        for i in rnd.rejected:
-            pointer[i] += 1
+        losers = set()
+        for i, b in proposals.items():
+            run.keys[i, b] = key(i, b)
+            loser = seats.place(i, b)
+            if loser is not None:
+                losers.add(loser)
+        rnd = Round(number, proposals, frozenset(losers), rnd, run)
         trace.rounds.append(rnd)
-        held = rnd.admitted
+        proposals = {}
+        for i in sorted(losers, key=instance.student_key):
+            pointer[i] += 1
+            if pointer[i] < len(rol[i]):
+                proposals[i] = rol[i][pointer[i]]
+
+
+def _lists(instance, rols):
+    return {i: tuple(rols.get(i, ())) for i in instance.students}
+
+
+def _standard_decisions(rnd):
+    """Per school, in the order schools were first proposed to, the round's
+    losers and then its holders, each in priority order."""
+    keys, losers = rnd.run.keys, rnd.losers
+    proposals = []
+    at = rnd
+    while at is not None:
+        proposals.append(at.proposals)
+        at = at.previous
+    pools = {s: [] for made in reversed(proposals) for s in made.values()}
+    for i, s in rnd.pending().items():
+        pools[s].append((keys[i, s], i))
+    decisions = []
+    for s, pool in pools.items():
+        pool.sort()
+        decisions += [("reject", i, s) for _, i in pool if i in losers]
+        decisions += [("hold", i, s) for _, i in pool if i not in losers]
+    return decisions
 
 
 def run_standard_da(instance, rols):
@@ -137,106 +266,81 @@ def run_standard_da(instance, rols):
                     f"student {i} lists bundle {bid}; standard DA accepts "
                     "one-school entries only"
                 )
+    # A one-school bundle's id is its school's id.
+    quota = {s: school.quota for s, school in instance.schools.items()}
+    run = _Run(_lists(instance, rols), None,
+               lambda rnd: dict(rnd.proposals), _standard_decisions)
+    seats = _Seats(quota, {s: (s,) for s in quota}, run.keys)
 
-    def clear(number, pending, held):
-        rnd = Round(number, {}, {}, [])
-        pools = {}  # school id -> its holders, then this round's proposers
-        for i, s in held.items():
-            pools.setdefault(s, []).append(i)
-        for i, bid in pending.items():
-            if i not in held:
-                school = next(iter(instance.bundles[bid].schools))
-                rnd.applications[i] = school
-                pools.setdefault(school, []).append(i)
-        for s, pool in pools.items():
-            pool.sort(key=lambda i: instance.rank(s, i))
-            for loser in pool[instance.schools[s].quota :]:
-                rnd.rejected.append(loser)
-                rnd.decisions.append(("reject", loser, s))
-            del pool[instance.schools[s].quota :]
-            for i in pool:
-                rnd.decisions.append(("hold", i, s))
-                rnd.admitted[i] = s
-        return rnd
+    def key(i, s):
+        return instance.rank(s, i)
 
-    return _deferred_acceptance(instance, rols, "standard-da", clear)
+    return _deferred_acceptance(instance, "standard-da", seats, key, run)
 
 
 def _application_key(instance, tiebreak):
-    """The key of an application (i, b) under a root whose schools' priority
-    orders differ, computed once per application."""
+    """The key of an application (i, b), computed once per application."""
     tree, bundles = instance.tree, instance.bundles
+    simple = detect_simplicity(instance).simple  # then every root qualifies
+    shared = {}  # root whose schools share one priority order -> its ranks
+    for root in tree.roots:
+        s, *others = bundles[root].schools
+        order = instance.schools[s].priority
+        if simple or all(instance.schools[o].priority == order for o in others):
+            shared[root] = instance.ranks(s)
     tb_rank = {i: k for k, i in enumerate(tiebreak)}
-    shape = {}  # bundle -> (its first school, its chain largest first, position)
+    everyone = len(instance.students)
+    shape = {}  # bundle -> (its first school's ranks, its chain's levels, position)
     above = {}  # (bundle, school) -> the school's ranks of the bundle's targets
-    keys = {}
 
-    def count_above(a, s, rank):
-        ranks = above.get((a, s))
-        if ranks is None:
+    def targeted(a, s):
+        """The sorted ranks school s gives a's targets; None when a targets
+        every student, as the targets s ranks above i then number i's rank."""
+        if len(bundles[a].targets) == everyone:
+            return None
+        if (a, s) not in above:
             at = instance.ranks(s)
-            ranks = above[a, s] = sorted(at[t] for t in bundles[a].targets)
-        return bisect_left(ranks, rank)
+            above[a, s] = sorted(at[t] for t in bundles[a].targets)
+        return above[a, s]
 
     def key(i, b):
-        found = keys.get((i, b))
+        ranks = shared.get(tree.root[b])
+        if ranks is not None:
+            return ranks[i]
+        found = shape.get(b)
         if found is None:
-            if b not in shape:
-                chain = sorted(tree.ancestors[b],
-                               key=lambda a: -len(bundles[a].schools))
-                first = next(s for s in instance.school_order
-                             if s in bundles[b].schools)
-                shape[b] = first, chain, instance.bundle_order.index(b)
-            s, chain, position = shape[b]
-            rank = instance.rank(s, i)
-            counts = []
-            for a in chain:
-                counts += (count_above(a, s, rank), a == b)
-            found = keys[i, b] = (*counts, tb_rank[i], position)
-        return found
+            s = next(s for s in instance.school_order if s in bundles[b].schools)
+            found = shape[b] = (instance.ranks(s),
+                                [(targeted(a, s), a == b) for a in tree.chain[b][::-1]],
+                                instance.bundle_order.index(b))
+        ranks, levels, position = found
+        rank = ranks[i]
+        counts = []
+        for below, last in levels:
+            counts += (rank if below is None else bisect_left(below, rank), last)
+        return (*counts, tb_rank[i], position)
 
     return key
 
 
-def _bundle_clearing(instance, tiebreak):
-    """The round both bundle engines clear with, as `_deferred_acceptance`'s
-    `clear`: per root, admit the pending applications in key order while
-    their bundle has a seat, and reject the rest."""
+def _bundle_decisions(rnd):
+    """Per root, in tree order, the round's pending applications in key
+    order, each admitted unless the round rejected it."""
+    tree, keys = rnd.run.tree, rnd.run.keys
+    queues = {root: [] for root in tree.roots}
+    for i, b in rnd.pending().items():
+        queues[tree.root[b]].append((keys[i, b], i, b))
+    return [("reject" if i in rnd.losers else "admit", i, b)
+            for queue in queues.values() for _, i, b in sorted(queue)]
+
+
+def _bundle_da(instance, rols, tiebreak, name):
+    """The run both bundle engines make."""
     tree = instance.tree
-    simple = detect_simplicity(instance).simple  # then every root qualifies
-    shared = {}  # root whose schools share one priority order -> rank lookup
-    for root in tree.roots:
-        s, *others = instance.bundles[root].schools
-        order = instance.schools[s].priority
-        if simple or all(instance.schools[o].priority == order for o in others):
-            shared[root] = instance.ranks(s).__getitem__
-    key = None
-    if len(shared) < len(tree.roots):
-        key = _application_key(instance, tiebreak)
-
-    def clear(number, pending, held):
-        def application_key(i):
-            return key(i, pending[i])
-
-        rnd = Round(number, pending, {}, [], tree=tree)
-        remaining = dict(tree.quota)
-        queues = {root: [] for root in tree.roots}
-        for i, bid in pending.items():
-            queues[tree.root[bid]].append(i)
-        for root, queue in queues.items():
-            queue.sort(key=shared.get(root, application_key))
-            for i in queue:
-                bid = pending[i]
-                if remaining[bid] > 0:
-                    tree.admit(remaining, bid)
-                    rnd.admitted[i] = bid
-                    rnd.decisions.append(("admit", i, bid))
-                else:
-                    rnd.rejected.append(i)
-                    rnd.decisions.append(("reject", i, bid))
-        return rnd
-
-    return clear
+    run = _Run(_lists(instance, rols), tree, Round.pending, _bundle_decisions)
+    seats = _Seats(tree.quota, tree.chain, run.keys)
+    key = _application_key(instance, tiebreak)
+    return _deferred_acceptance(instance, name, seats, key, run)
 
 
 def run_bundle_da_simple(instance, rols):
@@ -249,8 +353,7 @@ def run_bundle_da_simple(instance, rols):
                 info.reason
             )
         )
-    clear = _bundle_clearing(instance, instance.students)
-    return _deferred_acceptance(instance, rols, "bundle-da-simple", clear)
+    return _bundle_da(instance, rols, instance.students, "bundle-da-simple")
 
 
 def run_bundle_da_general(instance, rols, tiebreak=None):
@@ -264,8 +367,7 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
         tiebreak = instance.students
     if sorted(tiebreak) != sorted(instance.students):
         raise ValueError("tie-break order must be a permutation of the students")
-    clear = _bundle_clearing(instance, tiebreak)
-    return _deferred_acceptance(instance, rols, "bundle-da-general", clear)
+    return _bundle_da(instance, rols, tiebreak, "bundle-da-general")
 
 
 def run_bundle_da(instance, rols, tiebreak=None, engine="auto"):

@@ -272,8 +272,8 @@ def canonical_result(command, inputs, **blocks):
 def trace_csv(trace):
     """One row per engine decision: round, event, student, option.
 
-    Reads each round's stored decisions, so no admit's quota snapshot is
-    rebuilt only to be dropped.
+    Reads each round's decisions, so no admit's quota snapshot is rebuilt
+    only to be dropped.
     """
     lines = ["round,event,student,option"]
     for rnd in trace.rounds:

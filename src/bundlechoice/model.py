@@ -19,7 +19,8 @@ A laminar bundle system is a forest under containment.  `BundleTree`, built
 once per market, holds every bundle's ancestors, descendants, root and nested
 quota (its schools' total quota); its `admit` (charge the bundle and every
 bundle containing it) and `close` (zero a bundle and everything inside it)
-are the package's only nested-quota accounting.
+count seats left for the experiment games and the engines' trace.  The
+engines themselves keep each bundle's holders along its ancestor chain.
 """
 
 from dataclasses import dataclass, field
@@ -69,8 +70,9 @@ class BundleTree:
 
     `quotas` maps school ids to seat counts; `school_sets` maps bundle ids,
     in canonical order, to their school sets, one-school bundles included.
-    Every tuple is in canonical order; `root` maps each bundle to the
-    maximal bundle containing it.
+    Every tuple is in canonical order but `chain`'s, which lists a bundle's
+    ancestors from itself up; `root` maps each bundle to the maximal bundle
+    containing it.
     """
 
     def __init__(self, quotas, school_sets):
@@ -85,6 +87,10 @@ class BundleTree:
                     up[b].append(a)
                     down[a].append(b)
         self.ancestors = {b: tuple(chain) for b, chain in up.items()}
+        self.chain = {  # the same, smallest first
+            b: tuple(sorted(chain, key=lambda a: len(school_sets[a])))
+            for b, chain in up.items()
+        }
         self.descendants = {b: tuple(below) for b, below in down.items()}
         self.roots = tuple(b for b, chain in up.items() if len(chain) == 1)
         self.root = {d: r for r in self.roots for d in down[r]}

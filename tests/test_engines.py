@@ -3,12 +3,16 @@
 Expected matchings and full event streams are frozen from hand-worked runs
 of the two walkthrough markets; the engines must reproduce them exactly.  A
 seeded battery pins the complete traces of all three engines by digest (the
-simple engine's on the battery's simple markets).
+simple engine's on the battery's simple markets), and a larger one compares
+every round with `clearing_reference`, which clears each round afresh.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 import stability_oracle
+from clearing_reference import reference_bundle_da, reference_standard_da
 from conftest import build, load_json
 from manipulation_oracle import profitable_misreports
 from random_markets import (
@@ -28,6 +32,7 @@ from bundlechoice import (
     run_bundle_da_simple,
     run_standard_da,
 )
+from bundlechoice import engines
 
 NU_41 = {
     "i1": "s1", "i2": "b1234", "i3": "s3", "i4": None,
@@ -337,10 +342,19 @@ def test_no_student_gains_by_any_short_list():
 
 def test_rounds_store_decisions_and_derive_snapshots(walkthrough, walkthrough_rols,
                                                      nested, nested_rols):
-    """A round keeps only (kind, student, bundle) decisions; every read of
-    `events` rebuilds the quota snapshots afresh."""
-    for _, trace in (run_bundle_da_simple(walkthrough, walkthrough_rols),
-                     run_bundle_da_general(nested, nested_rols)):
+    """A round keeps only its new applications and its rejected students;
+    every read of a view builds it afresh, so mutating one changes neither
+    a later read nor the matching."""
+    for rols, (nu, trace) in (
+            (walkthrough_rols, run_bundle_da_simple(walkthrough, walkthrough_rols)),
+            (nested_rols, run_bundle_da_general(nested, nested_rols))):
+        matching = nu.as_dict()
+        for before, rnd in zip(trace.rounds, trace.rounds[1:]):
+            left = {i for i in before.rejected
+                    if rols[i].index(before.applications[i]) + 1 < len(rols[i])}
+            assert set(rnd.proposals) == left
+            assert rnd.losers == set(rnd.rejected)
+            assert not hasattr(rnd, "__dict__")
         for rnd in trace.rounds:
             assert all(len(decision) == 3 and not any(
                 isinstance(part, dict) for part in decision)
@@ -352,6 +366,95 @@ def test_rounds_store_decisions_and_derive_snapshots(walkthrough, walkthrough_ro
                     event[3].clear()
             assert first != second
             assert rnd.events == second
+            views = rnd.applications, rnd.admitted
+            for view in views:
+                view.clear()
+            assert (rnd.applications, rnd.admitted) != views
+        assert trace.final and nu.as_dict() == matching
+        assert trace.final == {i: b for i, b in matching.items() if b}
+
+
+def _views(rnd):
+    return [list(rnd.applications.items()), list(rnd.admitted.items()),
+            rnd.rejected, rnd.decisions, rnd.events]
+
+
+def _differences(result, reference):
+    """Where an engine's run differs from the reference run, if anywhere."""
+    (nu, trace), (expected, rounds) = result, reference
+    if nu.as_dict() != expected:
+        return ["matching"]
+    if len(trace.rounds) != len(rounds):
+        return ["round count"]
+    return [rnd.number for rnd, ref in zip(trace.rounds, rounds)
+            if _views(rnd) != _views(ref)]
+
+
+def _reference_battery():
+    spanning_rng = np.random.default_rng(7)
+    simple_rng = np.random.default_rng(12345)
+    for _ in range(2000):
+        instance, rols = random_spanning_market(spanning_rng)
+        yield instance, rols, [None, instance.students[::-1]]
+    for _ in range(2000):
+        instance, rols = random_simple_market(simple_rng)
+        yield instance, rols, [None, instance.students[::-1]]
+    rng = np.random.default_rng(14)
+    for n, quota, tier in ((800, 25, 40), (3200, 100, 160)):
+        instance, rols = spanning_market(rng, n, [4] * 8, quota, tier, 3)
+        yield instance, rols, [[instance.students[k] for k in rng.permutation(n)]]
+
+
+def test_engines_equal_the_reference_round_by_round():
+    """Matching, round count, and every round's applications, holdings,
+    rejections, decisions and events, orders included, for all three
+    engines."""
+    differ = []
+    for k, (instance, rols, tiebreaks) in enumerate(_reference_battery()):
+        for tiebreak in tiebreaks:
+            differ += [(k, "general", tiebreak is None, at) for at in _differences(
+                run_bundle_da_general(instance, rols, tiebreak),
+                reference_bundle_da(instance, rols, tiebreak))]
+        if detect_simplicity(instance).simple:
+            differ += [(k, "simple", at) for at in _differences(
+                run_bundle_da_simple(instance, rols),
+                reference_bundle_da(instance, rols))]
+        trivial = {i: [b for b in rol if instance.bundles[b].trivial]
+                   for i, rol in rols.items()}
+        differ += [(k, "standard", at) for at in _differences(
+            run_standard_da(instance, trivial),
+            reference_standard_da(instance, trivial))]
+    assert differ == []
+
+
+def test_each_application_is_keyed_and_placed_once(monkeypatch):
+    """A round places only its new applications into the seats held so far:
+    re-placing or re-keying a holder in a later round fails here."""
+    keyed, placed = Counter(), Counter()
+    make_key, place = engines._application_key, engines._Seats.place
+
+    def counting_key(instance, tiebreak):
+        key = make_key(instance, tiebreak)
+
+        def counted(i, b):
+            keyed[i, b] += 1
+            return key(i, b)
+
+        return counted
+
+    def counting_place(seats, i, b):
+        placed[i, b] += 1
+        return place(seats, i, b)
+
+    monkeypatch.setattr(engines, "_application_key", counting_key)
+    monkeypatch.setattr(engines._Seats, "place", counting_place)
+    instance, rols = spanning_market(np.random.default_rng(2026), 800,
+                                     [4] * 8, 25, 40, 3)
+    _, trace = run_bundle_da_general(instance, rols)
+    made = Counter((i, b) for rnd in trace.rounds for i, b in rnd.proposals.items())
+    assert len(trace.rounds) > 2
+    assert set(made.values()) == set(keyed.values()) == set(placed.values()) == {1}
+    assert keyed.keys() == placed.keys() == made.keys()
 
 
 # Full engine outputs on a fixed battery: the general engine's digested when

@@ -166,7 +166,11 @@ def test_nesting_is_a_forest(walkthrough, nested):
 
 def test_bundle_tree_admit_charges_ancestors_and_close_zeroes_descendants(nested):
     tree = nested.tree
-    assert tree.ancestors["s2"] == ("s2", "b23", "b123")
+    assert tree.ancestors["s2"] == tree.chain["s2"] == ("s2", "b23", "b123")
+    raw = load_json("nested_bundle_market.json")
+    reordered = build(dict(raw, bundles=raw["bundles"][::-1])).tree
+    assert reordered.ancestors["s2"] == ("s2", "b123", "b23")
+    assert reordered.chain["s2"] == ("s2", "b23", "b123")
     assert tree.descendants["b123"] == ("s1", "s2", "s3", "b23", "b123")
     assert tree.roots == ("s4", "s5", "b123")
     assert tree.root["s3"] == "b123" and tree.root["s5"] == "s5"
