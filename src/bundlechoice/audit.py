@@ -4,17 +4,27 @@ Bundle-matching stability is checked clause by clause: individual
 rationality, non-wastefulness (a desired bundle is exempt when some bundle
 containing its schools is full), and justified envy in its three shapes —
 same bundle, strictly smaller bundle, strictly larger bundle with every
-intermediate bundle under quota.  Priority comparisons use the raw per-school
-orders and require agreement across the relevant schools.  Only a desired
+intermediate bundle under quota.  Envy needs the claimant to outrank the
+holder at every school of the compared set (the desired bundle's, or the
+smaller held one's), read off the raw per-school orders.  Only a desired
 bundle's rivals can witness envy of it: the holders of the bundle itself, of
 a bundle inside it and of a bundle containing it, its branch of the bundle
-tree.  Violations list every IR failure, then every waste, then every envy,
-each by student and ROL slot, and an envious student's witnesses in student
-order.
+tree.  They are kept as one bar per compared school set: the worst rank one
+school of the set gives any rival compared there.  A claimant ranked at or
+below every bar outranks no rival at that school, so envies none; the rivals
+are listed and compared one by one only when she beats a bar.  The bar is a
+necessary condition at one school, so it is sound whatever the ROLs list and
+whether or not a bundle's schools rank alike: validation makes it tight, not
+correct.  Violations list every IR failure, then every waste, then every
+envy, each by student and ROL slot, and an envious student's witnesses in
+student order.
 
 Seat-level (standard) stability is checked against the preferences a ROL
 induces over individual schools: schools sharing a first-listed bundle form
-one indifference class, and unlisted schools are unacceptable.
+one indifference class, and unlisted schools are unacceptable.  A student's
+better schools are read straight off her ROL, and each full school's bar is
+the rank it gives its worst occupant; its occupants are compared one by one
+only with a student who outranks that one.
 
 The oracles answer size-maximality questions by exhaustive backtracking over
 individually rational assignments, with an explicit refusal above a
@@ -30,7 +40,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .engines import run_bundle_da
-from .model import UNMATCHED, induced_preference
+from .model import UNMATCHED
 
 
 class OracleBoundExceeded(Exception):
@@ -86,6 +96,22 @@ def _rol_rank(rol, bundle_id):
     return len(rol)
 
 
+def _lists(instance, rols):
+    """Every student's ROL as a tuple, in canonical student order.
+
+    Raises ValueError on the first entry naming a bundle the instance lacks;
+    entries a student is not eligible for pass, as library callers may audit
+    unvalidated lists.
+    """
+    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    bundles = instance.bundles
+    if not bundles.keys() >= set().union(*rol.values()):
+        i, bid = next((i, bid) for i, entries in rol.items()
+                      for bid in entries if bid not in bundles)
+        raise ValueError(f"student {i}: unknown bundle {bid}")
+    return rol
+
+
 def _prefers_on_all(instance, schools, i, j):
     """True iff i outranks j at every one of the given schools."""
     return all(instance.prefers(s, i, j) for s in schools)
@@ -115,6 +141,40 @@ def _rivals(instance, holders, full, desired):
     return rivals
 
 
+def _bars(instance, holders, full, desired, lead, worsts):
+    """(ranks, bar) pairs, one per compared school, for `desired`'s rivals.
+
+    The rivals `_rivals` finds fall into groups by the school set they are
+    compared on: the desired bundle's for cases 1 and 3, each held bundle's
+    for case 2.  Each group is read at one school s of its set, the `lead`
+    of the bundle whose set it is, and its bar is the worst rank s gives a
+    member; groups read at the same school share the larger bar.  Envy of a
+    member needs the claimant to outrank it at s, so a claimant ranked at or
+    below every bar envies no rival.  That holds at any school of the set,
+    whatever the ROLs list and whether or not the bundle's schools rank
+    alike.  `worsts` memoises, per (held bundle, school), the rank the school
+    gives the bundle's worst holder.
+    """
+    tree = instance.tree
+    bar = {}
+
+    def lift(s, held):
+        if (held, s) not in worsts:
+            worsts[held, s] = max(map(instance.ranks(s).get, holders[held]))
+        bar[s] = max(bar.get(s, -1), worsts[held, s])
+
+    s = lead[desired]
+    for held in tree.chain[desired]:
+        if held in holders:
+            lift(s, held)
+        if held in full:
+            break
+    for held in tree.descendants[desired]:
+        if held != desired and held in holders:
+            lift(lead[held], held)
+    return [(instance.ranks(s), rank) for s, rank in bar.items()]
+
+
 def check_bundle_stability(nu, rols, instance=None):
     """Check IR, non-wastefulness, and three-case justified envy.
 
@@ -123,10 +183,12 @@ def check_bundle_stability(nu, rols, instance=None):
     slot, and envy witnesses j in student order.  A desired bundle d is
     compared only with its rivals: the holders of d, of the bundles inside
     it and of the bundles containing it, found through an index of holders
-    by bundle built once per call; nobody else can witness envy of d.
+    by bundle built once per call; nobody else can witness envy of d.  A
+    claim on d is ruled out by one rank comparison per bar of `_bars`, and
+    d's rivals are listed and compared one by one only when a bar is beaten.
     """
     instance = instance or nu.instance
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    rol = _lists(instance, rols)
     seat = nu.as_dict()
     violations = []
 
@@ -154,8 +216,17 @@ def check_bundle_stability(nu, rols, instance=None):
     for j, held in seat.items():
         if held is not UNMATCHED:
             holders.setdefault(held, []).append(j)
-    rivals = {}
+    position = {s: k for k, s in enumerate(instance.school_order)}
+    lead = {  # each bundle's first school in canonical order
+        bid: min(bundle.schools, key=position.get)
+        for bid, bundle in instance.bundles.items()
+    }
+    bars, rivals, worsts = {}, {}, {}
     for i, desired in desires:
+        if desired not in bars:
+            bars[desired] = _bars(instance, holders, full, desired, lead, worsts)
+        if not any(ranks[i] < bar for ranks, bar in bars[desired]):
+            continue
         if desired not in rivals:
             rivals[desired] = _rivals(instance, holders, full, desired)
         for j, case, schools in rivals[desired]:
@@ -165,31 +236,52 @@ def check_bundle_stability(nu, rols, instance=None):
 
 
 def check_standard_stability(mu, rols, instance=None):
-    """Classic stability under the school preferences a ROL induces."""
+    """Classic stability under the school preferences a ROL induces.
+
+    A student's better schools are those of her entries before the first
+    that holds her seat, or every listed school when none does; a seat no
+    entry holds fails individual rationality.  Violations come as every
+    ("ir", i), then per student, over her better schools in canonical order,
+    ("waste", i, s) or ("envy", i, j, s) with witnesses j in student order.
+    A full school's occupants are walked only when the student outranks the
+    worst of them.
+    """
     instance = instance or mu.instance
-    induced = {
-        i: induced_preference(rols.get(i, ()), instance)
-        for i in instance.students
-    }
-    violations = []
-
+    rol = _lists(instance, rols)
+    bundles = instance.bundles
+    seat = mu.as_dict()
+    violations, claims = [], []
     for i in instance.students:
-        if mu[i] is not UNMATCHED and not induced[i].acceptable(mu[i]):
-            violations.append(("ir", i))
+        better = set()
+        for bid in rol[i]:
+            schools = bundles[bid].schools
+            if seat[i] in schools:
+                break
+            better |= schools
+        else:
+            if seat[i] is not UNMATCHED:
+                violations.append(("ir", i))
+        if better:
+            claims.append((i, better))
+    if not claims:
+        return StabilityVerdict(violations)
 
-    for i in instance.students:
-        above = induced[i].above(mu[i])
-        if not above:
-            continue
-        for s in instance.school_order:
-            if s not in above:
-                continue
-            if mu.seated(s) < instance.schools[s].quota:
+    bars = {}  # school -> (its ranks, its worst occupant's rank); None if not full
+    for s in instance.school_order:
+        occupants = mu.students_at(s)
+        ranks = instance.ranks(s)
+        bars[s] = ((ranks, max(map(ranks.get, occupants)))
+                   if len(occupants) == instance.schools[s].quota else None)
+    position = {s: k for k, s in enumerate(instance.school_order)}
+    for i, better in claims:
+        for s in sorted(better, key=position.get):
+            if bars[s] is None:
                 violations.append(("waste", i, s))
                 continue
-            for j in mu.students_at(s):
-                if instance.prefers(s, i, j):
-                    violations.append(("envy", i, j, s))
+            ranks, worst = bars[s]
+            if ranks[i] < worst:
+                violations += [("envy", i, j, s) for j in mu.students_at(s)
+                               if instance.prefers(s, i, j)]
     return StabilityVerdict(violations)
 
 
@@ -252,7 +344,7 @@ def _larger_assignment(nu, rols, instance, bound, options_if_matched):
     keeps one of `options_if_matched(rol, bundle)`; the others may stay out.
     """
     instance = instance or nu.instance
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    rol = _lists(instance, rols)
     matched = {i for i in instance.students if nu[i] in rol[i]}
     options = {
         i: options_if_matched(rol[i], nu[i]) if i in matched
@@ -310,7 +402,7 @@ def find_stable_pareto_improvement(
     order, or None.  Exhaustive search; refuses above the candidate bound.
     """
     instance = instance or nu.instance
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    rol = _lists(instance, rols)
     options = {}
     for i in instance.students:
         current = _rol_rank(rol[i], nu[i])

@@ -459,13 +459,6 @@ class InducedPreference:
             rb = len(self.classes)
         return ra < rb
 
-    def above(self, school):
-        """Every school strictly preferred to school/unmatched (None = unmatched)."""
-        rank = self.rank_of(school)
-        if rank is None:
-            rank = len(self.classes)
-        return frozenset().union(*self.classes[:rank])
-
 
 def induced_preference(rol_entries, instance):
     """Build the first-occurrence weak order for one student's ROL."""

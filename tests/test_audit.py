@@ -23,12 +23,15 @@ from random_markets import (
 from bundlechoice import (
     BundleMatching,
     EnvyPairReport,
+    ImplementationPolicy,
+    Instance,
     OracleBoundExceeded,
     StandardMatching,
     audit_rol_dominance,
     check_bundle_stability,
     check_standard_stability,
     find_stable_pareto_improvement,
+    implement,
     induced_preference,
     oracle_pareto_undominated_size_maximal,
     oracle_size_maximal,
@@ -111,6 +114,21 @@ def test_five_student_stable_set_matches_brute_force(swap_market, swap_rols):
     assert tuple(sorted(to_school_sets(swap_market, other).items())) in lhs
 
 
+@pytest.mark.parametrize("check", [
+    lambda nu, rols: check_bundle_stability(nu, rols),
+    lambda nu, rols: check_standard_stability(
+        implement(nu, ImplementationPolicy("det")), rols),
+    lambda nu, rols: oracle_size_maximal(nu, rols),
+    lambda nu, rols: oracle_pareto_undominated_size_maximal(nu, rols),
+    lambda nu, rols: find_stable_pareto_improvement(nu, rols),
+], ids=["bundle_stability", "standard_stability", "size_maximal",
+        "pareto_undominated_size_maximal", "stable_pareto_improvement"])
+def test_audits_name_an_unknown_listed_bundle(check, swap_nu, swap_rols):
+    rols = {**swap_rols, "i1": ["nope"]}
+    with pytest.raises(ValueError, match="^student i1: unknown bundle nope$"):
+        check(swap_nu, rols)
+
+
 def test_size_and_stability_can_disagree(tiny_market, tiny_rols):
     """Stable outcome seats one student; an unstable one seats both."""
     nu, _ = run_bundle_da_simple(tiny_market, tiny_rols)
@@ -188,12 +206,39 @@ def _seat_violations_by_full_scan(mu, rols, instance):
     return tuple(out)
 
 
+def _with_ineligible_entries(rng, instance, rols):
+    """The ROLs with a bundle the student may not list put into each list at
+    a random slot, for about half of the students who have one off their
+    menu.  Library callers may pass such lists unvalidated."""
+    changed = dict(rols)
+    for i in instance.students:
+        off_menu = [b for b in instance.bundle_order
+                    if i not in instance.bundles[b].targets]
+        if off_menu and rng.random() < 0.5:
+            entries = list(rols.get(i, ()))
+            slot = int(rng.integers(len(entries) + 1))
+            entries.insert(slot, off_menu[int(rng.integers(len(off_menu)))])
+            changed[i] = entries
+    return changed
+
+
+def _desired(rol, held):
+    """The entries a list ranks above the held one, or all when none is."""
+    return rol[: rol.index(held)] if held in rol else rol
+
+
 def test_seat_audit_matches_the_full_scan_on_random_seatings():
-    """The audit visits only the schools above each seat; its violations, and
-    their order, are those of the scan over every school."""
+    """The audit reads each student's better schools off her list and walks a
+    full school's occupants only when she outranks the worst of them; its
+    violations, and their order, are those of the scan over every school,
+    also on lists naming bundles their students may not list.  A student
+    never sits at a school she ranks above her seat, so she is never among
+    the occupants she is compared with."""
     rng = np.random.default_rng(4242)
-    unstable = 0
+    extra = np.random.default_rng(4343)
+    unstable = ineligible = 0
     for instance, rols in generate(150, 4242):
+        unvalidated = _with_ineligible_entries(extra, instance, rols)
         for _ in range(3):
             left = {s: instance.schools[s].quota for s in instance.school_order}
             seats = {}
@@ -207,7 +252,17 @@ def test_seat_audit_matches_the_full_scan_on_random_seatings():
             expected = _seat_violations_by_full_scan(mu, rols, instance)
             assert verdict.violations == expected
             unstable += not verdict.stable
+            verdict = check_standard_stability(mu, unvalidated, instance)
+            expected = _seat_violations_by_full_scan(mu, unvalidated, instance)
+            assert verdict.violations == expected
+            for i in instance.students:
+                entries = unvalidated.get(i, ())
+                holding = next((b for b in entries
+                                if mu[i] in instance.bundles[b].schools), None)
+                ineligible += any(i not in instance.bundles[b].targets
+                                  for b in _desired(entries, holding))
     assert unstable > 300
+    assert ineligible >= 90
 
 
 def _bundle_violations_by_full_scan(nu, rols, instance):
@@ -287,49 +342,142 @@ def _perturbed(rng, nu, rols, moves):
     return BundleMatching(instance, assignment)
 
 
+def _worst_rival_claims(nu, rols):
+    """How many (student, desired bundle) claims come from a student who
+    holds a bundle strictly inside or around the desired one, is one of its
+    rivals, and ranks at or below every rival compared on her school set at
+    each of its schools: her own rank is then the bar she is held to."""
+    instance = nu.instance
+    full = {b for b in instance.bundle_order
+            if nu.occupancy(b) == instance.bundle_quota(b)}
+    holders = {}
+    for j in instance.students:
+        if nu[j] is not None:
+            holders.setdefault(nu[j], []).append(j)
+    count = 0
+    for i in instance.students:
+        rol = tuple(rols.get(i, ()))
+        if nu[i] is None or nu[i] not in rol:
+            continue
+        for d in _desired(rol, nu[i]):
+            rivals = audit._rivals(instance, holders, full, d)
+            mine = [schools for j, case, schools in rivals if j == i and case > 1]
+            if not mine:
+                continue
+            group = [j for j, _, schools in rivals if schools == mine[0]]
+            count += all(instance.rank(s, i) >= instance.rank(s, j)
+                         for s in mine[0] for j in group)
+    return count
+
+
 def _audit_against_full_scan(pairs):
-    """Assert equal violations, in order; count each kind and envy case."""
-    kinds = dict.fromkeys(("ir", "waste", 1, 2, 3), 0)
+    """Assert equal violations, in order; count each kind and envy case, the
+    claims `_worst_rival_claims` counts, and the claims on a bundle the
+    claimant may not list."""
+    kinds = dict.fromkeys(("ir", "waste", 1, 2, 3, "worst rival", "ineligible"), 0)
     for nu, rols in pairs:
+        instance = nu.instance
         verdict = check_bundle_stability(nu, rols)
         assert verdict.violations == _bundle_violations_by_full_scan(
-            nu, rols, nu.instance
+            nu, rols, instance
         )
         for v in verdict.violations:
             kinds[v[-1] if v[0] == "envy" else v[0]] += 1
+        kinds["worst rival"] += _worst_rival_claims(nu, rols)
+        kinds["ineligible"] += sum(
+            i not in instance.bundles[d].targets
+            for i in instance.students
+            for d in _desired(tuple(rols.get(i, ())), nu[i])
+        )
     return kinds
 
 
 def test_bundle_audit_matches_the_full_scan_on_random_assignments():
-    """The audit compares each desired bundle only with holders on its
-    branch of the bundle tree; its violations, and their order, are those
-    of the scan over every student."""
+    """The audit rules claims out against one bar per compared school set
+    and compares a desired bundle's rivals one by one only on a hit; its
+    violations, and their order, are those of the scan over every student.
+    The battery holds claimants who are the worst rival of the bundle they
+    desire, and, audited a second time, lists naming bundles their students
+    may not list."""
     rng = np.random.default_rng(5151)
     markets = generate(150, 5151)
     markets += [random_spanning_market(rng) for _ in range(150)]
-    kinds = _audit_against_full_scan(
-        (_random_bundle_matching(rng, instance, rols), rols)
-        for instance, rols in markets
-        for _ in range(3)
-    )
+    pairs = [(_random_bundle_matching(rng, instance, rols), rols)
+             for instance, rols in markets
+             for _ in range(3)]
+    kinds = _audit_against_full_scan(pairs)
     assert kinds["ir"] >= 400 and kinds["waste"] >= 200
     assert kinds[1] >= 400 and kinds[2] >= 200 and kinds[3] >= 150
+    assert kinds["worst rival"] >= 80
+
+    extra = np.random.default_rng(5252)
+    kinds = _audit_against_full_scan(
+        (nu, _with_ineligible_entries(extra, nu.instance, rols))
+        for nu, rols in pairs
+    )
+    assert kinds["ineligible"] >= 600
 
 
-def test_bundle_audit_matches_the_full_scan_on_perturbed_large_markets():
-    """800-student grouped markets: each engine outcome, then the outcome
-    with students unseated or moved."""
+@pytest.fixture(scope="module")
+def large_markets():
+    """Two 800-student grouped markets: per market, the engine outcome and
+    the outcome with 5 and with 40 students unseated or moved."""
     rng = np.random.default_rng(6262)
-    pairs = []
+    markets = []
     for _ in range(2):
         instance, rols = spanning_market(rng, 800, [4] * 8, 25, 40, 3)
         tiebreak = [instance.students[k] for k in rng.permutation(800)]
         nu, _ = run_bundle_da(instance, rols, tiebreak)
+        perturbed = [_perturbed(rng, nu, rols, moves) for moves in (5, 40)]
+        markets.append((rols, nu, perturbed))
+    return markets
+
+
+def test_bundle_audit_matches_the_full_scan_on_perturbed_large_markets(
+    large_markets,
+):
+    """800-student grouped markets: each engine outcome, then the outcome
+    with students unseated or moved."""
+    pairs = []
+    for rols, nu, perturbed in large_markets:
         pairs.append((nu, rols))
-        pairs += [(_perturbed(rng, nu, rols, moves), rols) for moves in (5, 40)]
+        pairs += [(moved, rols) for moved in perturbed]
     kinds = _audit_against_full_scan(pairs)
     assert kinds["waste"] >= 50
     assert kinds[1] >= 200 and kinds[2] >= 200 and kinds[3] >= 200
+
+
+def test_audits_scan_for_witnesses_only_on_a_hit(large_markets, monkeypatch):
+    """On the engine outcomes, and on their seatings, neither audit lists a
+    rival or compares two students one by one: every claim falls at its bar.
+    The moved students of the perturbed outcomes beat some bar in each audit.
+    The seat audit's per-occupant loop is its only `Instance.prefers` call."""
+    calls = dict.fromkeys(("_rivals", "_prefers_on_all", "prefers"), 0)
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in ("_rivals", "_prefers_on_all"):
+        monkeypatch.setattr(audit, name, counted(name, getattr(audit, name)))
+    monkeypatch.setattr(Instance, "prefers", counted("prefers", Instance.prefers))
+
+    def scans(nu, rols):
+        """(bundle-audit scan entries, seat-audit scan entries)."""
+        calls.update(dict.fromkeys(calls, 0))
+        check_bundle_stability(nu, rols)
+        bundle = calls["_rivals"] + calls["_prefers_on_all"]
+        calls.update(dict.fromkeys(calls, 0))
+        check_standard_stability(implement(nu, ImplementationPolicy("det")), rols)
+        return bundle, calls["prefers"]
+
+    for rols, nu, perturbed in large_markets:
+        assert scans(nu, rols) == (0, 0)
+        for moved in perturbed:
+            bundle, seat = scans(moved, rols)
+            assert bundle >= 1 and seat >= 1
 
 
 def test_truthtelling_holds_for_walkthrough_students(walkthrough, walkthrough_rols):
