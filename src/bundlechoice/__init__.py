@@ -9,7 +9,6 @@ size-maximality oracles, and replications of two lab experiments.
 
 from .audit import (
     DEFAULT_ORACLE_BOUND,
-    EnvyPairReport,
     OracleBoundExceeded,
     StabilityVerdict,
     audit_rol_dominance,
@@ -72,7 +71,6 @@ from .model import (
     ValidationReport,
     detect_simplicity,
     implements,
-    induced_preference,
     validate_instance,
     validate_rols,
 )

@@ -70,25 +70,6 @@ class StabilityVerdict:
         return f"StabilityVerdict({word}, {len(self.violations)} violations)"
 
 
-class EnvyPairReport:
-    """Deduplicated ordered envy pairs with the first witnessing case."""
-
-    def __init__(self, verdict):
-        pairs = {}
-        for violation in verdict.violations:
-            if violation[0] != "envy":
-                continue
-            i, j = violation[1], violation[2]
-            pairs.setdefault((i, j), violation[-1])
-        self.pairs = tuple((i, j, case) for (i, j), case in pairs.items())
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-
 def _rol_rank(rol, bundle_id):
     """Position of a bundle in a ROL; unmatched sits below everything."""
     if bundle_id is not UNMATCHED and bundle_id in rol:

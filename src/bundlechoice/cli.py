@@ -483,3 +483,7 @@ def run_cli(argv=None):
 
 def main():
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

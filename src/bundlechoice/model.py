@@ -25,6 +25,7 @@ engines themselves keep each bundle's holders along its ancestor chain.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 
 
 UNMATCHED = None
@@ -119,16 +120,14 @@ class Instance:
     immutable after that and safe to share.
     """
 
-    def __init__(self, students, schools, bundles, rol_length):
+    def __init__(self, students, schools, bundles, rol_length, ranks):
         self.students = tuple(students)
         self.schools = {s.id: s for s in schools}
         self.school_order = tuple(s.id for s in schools)
         self.bundles = {b.id: b for b in bundles}
         self.bundle_order = tuple(b.id for b in bundles)
         self.rol_length = rol_length
-        self._ranks = {
-            s.id: {i: r for r, i in enumerate(s.priority)} for s in schools
-        }
+        self._ranks = ranks  # {school id: {student: priority position}}
         self._by_schools = {b.schools: b for b in bundles}
         self._student_index = {i: k for k, i in enumerate(self.students)}
 
@@ -163,9 +162,6 @@ class Instance:
 
     def bundle_for_schools(self, school_set):
         return self._by_schools.get(frozenset(school_set))
-
-    def trivial_bundle(self, school_id):
-        return self._by_schools[frozenset({school_id})]
 
     def menu(self, student):
         """Bundle ids the student is eligible to list, in canonical order."""
@@ -234,27 +230,40 @@ def validate_instance(raw):
     `raw` is a mapping with keys `students`, `schools`, `bundles`,
     `rol_length` (see the README for the document schema).  Returns a
     validated `Instance` on success and a `ValidationReport` listing every
-    violated condition otherwise.  The input is never mutated.
+    violated condition otherwise.  The input is never mutated.  A valid
+    document passes in linear passes; the pairwise scans that name each
+    violation run only when a pass fails or a problem was already reported.
     """
     report = _check_shape(raw)
     if not report.ok:
         return report
 
     students = list(raw.get("students", []))
+    student_set = frozenset(students)
     if not students:
         report.add("instance lists no students")
-    if len(students) != len(set(students)):
+    distinct = len(students) == len(student_set)
+    if not distinct:
         report.add("duplicate student ids")
 
-    roster = sorted(students)
-    schools = []
+    schools, rank_maps = [], {}
+    read = {}  # priority -> (the first equal tuple, its rank map, a permutation?)
     for entry in raw.get("schools", []):
         sid = entry["id"]
         quota = entry["quota"]
         priority = tuple(entry["priority"])
+        if priority not in read:
+            rank = dict(zip(priority, range(len(priority))))
+            if distinct:
+                permutation = rank.keys() == student_set and len(priority) == len(rank)
+            else:
+                permutation = sorted(priority) == sorted(students)
+            read[priority] = priority, rank, permutation
+        # Schools with one priority share one tuple and one rank map.
+        priority, rank_maps[sid], permutation = read[priority]
         if quota < 1:
             report.add(f"school {sid}: quota must be at least 1")
-        if sorted(priority) != roster:
+        if not permutation:
             report.add(
                 f"school {sid}: priority order is not a permutation of the students"
             )
@@ -265,7 +274,6 @@ def validate_instance(raw):
     if len(school_ids) != len(set(school_ids)):
         report.add("duplicate school ids")
 
-    student_set = frozenset(students)
     school_set = set(school_ids)
 
     # Trivial bundles are implicit: one per school, open to everyone.
@@ -312,6 +320,55 @@ def validate_instance(raw):
             )
         by_schools[b.schools] = b
 
+    # The chains see every pair of overlapping bundles only when ids are
+    # distinct and school sets distinct, known and non-empty.
+    if not report.ok or not _chains_nest(bundles):
+        _scan_nesting(report, bundles)
+
+    # Unless a problem was reported, every priority is a permutation and
+    # every bundle's targets are known students, so each rank map reads them.
+    suspect = not report.ok
+    for b in bundles:
+        if len(b.schools) < 2 or not b.schools <= school_set:
+            continue
+        if suspect and any(not b.targets <= rank_maps[s].keys() for s in b.schools):
+            continue  # unreadable priorities were already reported above
+        if not _uniform(b, rank_maps):
+            _walk_uniformity(report, b, rank_maps)
+
+    rol_length = raw.get("rol_length", 1)
+    if rol_length < 1:
+        report.add("rol_length must be a positive integer")
+    elif schools and rol_length >= len(schools):
+        report.add(
+            f"rol_length {rol_length} must be smaller than the number of "
+            f"schools ({len(schools)})"
+        )
+
+    if not report.ok:
+        return report
+    return Instance(students, schools, bundles, rol_length, rank_maps)
+
+
+def _chains_nest(bundles):
+    """True if the bundles containing each school, smallest first, nest
+    strictly and narrow their targets.  Containment and target inclusion are
+    transitive, so adjacent pairs decide every pair."""
+    containing = {}
+    for b in bundles:
+        for s in b.schools:
+            containing.setdefault(s, []).append(b)
+    return all(
+        small.schools < big.schools
+        and (small.targets is big.targets or small.targets >= big.targets)
+        for chain in containing.values()
+        for small, big in pairwise(sorted(chain, key=lambda b: len(b.schools)))
+    )
+
+
+def _scan_nesting(report, bundles):
+    """Report every overlapping pair that does not nest, and every bundle
+    that targets students outside a smaller bundle's targets."""
     for a in bundles:
         for b in bundles:
             if a.id >= b.id or a.schools.isdisjoint(b.schools):
@@ -330,38 +387,35 @@ def validate_instance(raw):
                     f"{sorted(b.targets - a.targets)}"
                 )
 
-    # Built before the last checks so they can read its rank maps; it is
-    # returned only if every check passes.
-    rol_length = raw.get("rol_length", 1)
-    instance = Instance(students, schools, bundles, rol_length)
-    rank_maps = instance._ranks
-    for b in bundles:
-        if b.trivial or not b.schools <= school_set:
-            continue
-        if any(not b.targets <= rank_maps[s].keys() for s in b.schools):
-            continue  # unreadable priorities were already reported above
-        base, *others = sorted(b.schools)
-        targeted = sorted(b.targets, key=rank_maps[base].__getitem__)
-        for other in others:
-            ranks = rank_maps[other]
-            for pair in zip(targeted, targeted[1:]):
-                if ranks[pair[0]] > ranks[pair[1]]:
-                    i, j = sorted(pair)
-                    report.add(
-                        f"bundle {b.id}: schools {base} and {other} rank "
-                        f"targeted students {i} and {j} differently"
-                    )
-                    break
 
-    if rol_length < 1:
-        report.add("rol_length must be a positive integer")
-    elif schools and rol_length >= len(schools):
-        report.add(
-            f"rol_length {rol_length} must be smaller than the number of "
-            f"schools ({len(schools)})"
-        )
+def _uniform(bundle, rank_maps):
+    """True if every school in the bundle orders its targets as its first
+    school (in id order) does.  A school sharing the first school's rank map
+    agrees outright; any other must rank the first school's order of the
+    targets increasingly."""
+    base, *others = sorted(bundle.schools)
+    first = rank_maps[base]
+    others = [rank_maps[s] for s in others if rank_maps[s] is not first]
+    targeted = sorted(bundle.targets, key=first.__getitem__) if others else ()
+    projections = (list(map(ranks.__getitem__, targeted)) for ranks in others)
+    return all(projected == sorted(projected) for projected in projections)
 
-    return instance if report.ok else report
+
+def _walk_uniformity(report, bundle, rank_maps):
+    """Name, for each school the bundle's first school disagrees with, the
+    first adjacent pair of its projected order that the school reverses."""
+    base, *others = sorted(bundle.schools)
+    targeted = sorted(bundle.targets, key=rank_maps[base].__getitem__)
+    for other in others:
+        ranks = rank_maps[other]
+        for pair in zip(targeted, targeted[1:]):
+            if ranks[pair[0]] > ranks[pair[1]]:
+                i, j = sorted(pair)
+                report.add(
+                    f"bundle {bundle.id}: schools {base} and {other} rank "
+                    f"targeted students {i} and {j} differently"
+                )
+                break
 
 
 def validate_rols(instance, rols):
@@ -424,52 +478,6 @@ def _find_simplicity(instance):
                 False, reason=f"schools in bundle {bid} use different priority orders"
             )
     return SimplicityInfo(True)
-
-
-class InducedPreference:
-    """Weak order over schools read off a ROL by first occurrence.
-
-    Schools first appearing in the same ROL entry are indifferent; schools
-    never appearing are unacceptable (worse than staying unmatched).
-    """
-
-    def __init__(self, classes):
-        self.classes = tuple(frozenset(c) for c in classes)
-        self._rank = {}
-        for level, cls in enumerate(self.classes):
-            for s in cls:
-                self._rank[s] = level
-
-    def rank_of(self, school):
-        """Indifference-class index (0 = best); None if unacceptable."""
-        if school is UNMATCHED:
-            return len(self.classes)
-        return self._rank.get(school)
-
-    def acceptable(self, school):
-        return school in self._rank
-
-    def strictly_prefers(self, a, b):
-        """True if school a beats school/unmatched b (None = unmatched)."""
-        ra = self.rank_of(a)
-        if ra is None:
-            return False
-        rb = self.rank_of(b)
-        if rb is None:
-            rb = len(self.classes)
-        return ra < rb
-
-
-def induced_preference(rol_entries, instance):
-    """Build the first-occurrence weak order for one student's ROL."""
-    seen = set()
-    classes = []
-    for bid in rol_entries:
-        fresh = instance.bundles[bid].schools - seen
-        if fresh:
-            classes.append(fresh)
-            seen |= fresh
-    return InducedPreference(classes)
 
 
 def _check_students(instance, assignment):

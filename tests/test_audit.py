@@ -10,6 +10,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 import stability_oracle as ref
+from audit_helpers import EnvyPairReport, induced_preference
 from conftest import load_json
 from random_markets import (
     _supbundle_cases,
@@ -22,7 +23,6 @@ from random_markets import (
 
 from bundlechoice import (
     BundleMatching,
-    EnvyPairReport,
     ImplementationPolicy,
     Instance,
     OracleBoundExceeded,
@@ -32,7 +32,6 @@ from bundlechoice import (
     check_standard_stability,
     find_stable_pareto_improvement,
     implement,
-    induced_preference,
     oracle_pareto_undominated_size_maximal,
     oracle_size_maximal,
     property_supbundle_monotone,

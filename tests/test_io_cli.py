@@ -6,6 +6,9 @@ byte-identity of repeated runs is part of the contract.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from conftest import FIXTURES, load_json
 from random_markets import spanning_market
 
+import bundlechoice
 from bundlechoice import (
     ValidationReport,
     canonical_document,
@@ -236,6 +240,42 @@ def test_cli_validate_rejects_bad_overlap(capsys):
     code, out, err = cli(capsys, "validate", path("bad_overlap.json"))
     assert code == 1 and out == ""
     assert "overlap without nesting" in err
+
+
+def test_cli_validate_reports_an_empty_school_set(capsys, tmp_path):
+    raw = load_json("bad_overlap.json")
+    raw["bundles"] = [{"id": "none", "schools": []}]
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = cli(capsys, "validate", str(bad))
+    assert (code, out, err) == (1, "", f"{bad}: bundle none: empty school set\n")
+
+
+def _python(*args, cwd):
+    """Run the interpreter with this process's copy of the package."""
+    source = os.path.dirname(os.path.dirname(bundlechoice.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                          cwd=cwd, timeout=120, text=True)
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    """`python -m bundlechoice` and `python -m bundlechoice.cli` run `main`,
+    as the console script does: an invalid file exits 1 with its report."""
+    args = ("validate", path("bad_overlap.json"))
+    script = _python("-c", "from bundlechoice.cli import main; main()", *args,
+                     cwd=tmp_path)
+    assert script.returncode == 1 and script.stdout == ""
+    assert "overlap without nesting" in script.stderr
+    package = _python("-m", "bundlechoice", *args, cwd=tmp_path)
+    assert (package.returncode, package.stdout, package.stderr) == (
+        script.returncode, script.stdout, script.stderr)
+    # runpy warns that the package imported `cli` before running it as main.
+    module = _python("-m", "bundlechoice.cli", *args, cwd=tmp_path)
+    assert (module.returncode, module.stdout) == (1, "")
+    assert module.stderr.endswith(script.stderr)
 
 
 def test_cli_run_bundle_da_walkthrough(capsys):

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from audit_helpers import induced_preference
 from conftest import build, load_json
 
 import bundlechoice
@@ -11,7 +12,6 @@ from bundlechoice import (
     BundleMatching,
     ValidationReport,
     detect_simplicity,
-    induced_preference,
     run_bundle_da_simple,
     validate_instance,
     validate_rols,
@@ -129,7 +129,7 @@ def test_ineligible_bundle_listing_rejected(contested_market):
 
 def test_trivial_bundles_synthesized_and_on_every_menu(walkthrough):
     for school in walkthrough.school_order:
-        bundle = walkthrough.trivial_bundle(school)
+        bundle = walkthrough.bundle_for_schools({school})
         assert bundle.id == school
         assert bundle.targets == frozenset(walkthrough.students)
     for student in walkthrough.students:
