@@ -62,7 +62,6 @@ from .io import (
     parse_stage_prefs,
     serialize_instance,
 )
-from .cli import main, run_cli
 from .model import (
     UNMATCHED,
     BundleMatching,
@@ -76,3 +75,13 @@ from .model import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["main", "run_cli"]
+
+
+def __getattr__(name):
+    """`main` and `run_cli` import the CLI on first use, so that
+    `python -m bundlechoice.cli` runs a module the package has not loaded."""
+    if name in ("main", "run_cli"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,11 @@ only with a student who outranks that one.
 
 The oracles answer size-maximality questions by exhaustive backtracking over
 individually rational assignments, with an explicit refusal above a
-candidate-count bound — never a silent approximation.
+candidate-count bound — never a silent approximation.  A size-maximality
+witness must place a student the matching leaves out, so the search stops
+below any node past the last such student where none of them is placed.
+Every search frees its state by reference counting when it returns: its
+recursion is a module-level function, not a closure that refers to itself.
 
 The reporting-property checks compare a student's seat under a changed ROL
 with her seat under the submitted ROLs.  Callers check one market student by
@@ -266,47 +270,60 @@ def check_standard_stability(mu, rols, instance=None):
     return StabilityVerdict(violations)
 
 
-def _search_assignments(instance, options, accept):
+def _search_assignments(instance, options, accept=None, needed=None):
     """Backtrack over per-student bundle options with quota pruning.
 
     `options` maps each student to the bundle ids (or UNMATCHED) to try, in
-    scan order; the first assignment satisfying `accept` is returned, so the
-    witness is deterministic.  Refuses outright when the option product
-    exceeds the bound baked into `options` by the caller.
+    scan order; the first complete assignment that satisfies `accept` (when
+    given) and places a student of `needed` (when given) is returned, so the
+    witness is deterministic.  Past the last student of `needed` with none of
+    them placed, no leaf below can qualify and the search does not descend.
+    The caller checks the option product against its bound first.
     """
     students = list(instance.students)
+    ancestors = instance.tree.ancestors
+    levels = [
+        (i, needed is not None and i in needed,
+         [(bid, () if bid is UNMATCHED else ancestors[bid]) for bid in options[i]])
+        for i in students
+    ]
+    last = max((k for k, (_, counts, _) in enumerate(levels) if counts),
+               default=-1)
     remaining = {
         bid: instance.bundle_quota(bid) for bid in instance.bundle_order
     }
-    assignment = {}
+    return _descend(levels, 0, last, needed is None, remaining, {}, accept)
 
-    def place(idx):
-        if idx == len(students):
-            return dict(assignment) if accept(assignment) else None
-        i = students[idx]
-        for choice in options[i]:
-            if choice is UNMATCHED:
-                assignment[i] = UNMATCHED
-                found = place(idx + 1)
-                del assignment[i]
-                if found:
-                    return found
-                continue
-            sups = instance.tree.ancestors[choice]
-            if any(remaining[sup] == 0 for sup in sups):
-                continue
-            for sup in sups:
-                remaining[sup] -= 1
-            assignment[i] = choice
-            found = place(idx + 1)
-            del assignment[i]
-            for sup in sups:
-                remaining[sup] += 1
-            if found:
-                return found
+
+def _descend(levels, idx, last, placed, remaining, assignment, accept):
+    """The first qualifying completion of `assignment` from level idx on.
+
+    A module-level function, not a closure over the search, so that nothing
+    refers to itself and every call's state is freed when it returns.
+    `placed` is whether a needed student holds a bundle already.
+    """
+    if idx > last and not placed:
         return None
-
-    return place(0)
+    if idx == len(levels):
+        if accept is None or accept(assignment):
+            return dict(assignment)
+        return None
+    i, counts, choices = levels[idx]
+    for choice, sups in choices:
+        if any(remaining[sup] == 0 for sup in sups):
+            continue
+        for sup in sups:
+            remaining[sup] -= 1
+        assignment[i] = choice
+        found = _descend(levels, idx + 1, last,
+                         placed or (counts and choice is not UNMATCHED),
+                         remaining, assignment, accept)
+        del assignment[i]
+        for sup in sups:
+            remaining[sup] += 1
+        if found is not None:
+            return found
+    return None
 
 
 def _check_bound(options, bound):
@@ -333,15 +350,8 @@ def _larger_assignment(nu, rols, instance, bound, options_if_matched):
         for i in instance.students
     }
     _check_bound(options, bound)
-
-    def accept(assignment):
-        return any(
-            assignment[i] is not UNMATCHED
-            for i in instance.students
-            if i not in matched
-        )
-
-    witness = _search_assignments(instance, options, accept)
+    unmatched = set(instance.students) - matched
+    witness = _search_assignments(instance, options, needed=unmatched)
     return (witness is None), witness
 
 

@@ -133,28 +133,32 @@ def enumerate_implementations(nu, cap=10000):
     seats, free, ordered = _stage_plan(nu)
     roaming = [(i, bid) for bid, students in ordered for i in students]
     results = []
-    truncated = False
-
-    def place(idx):
-        nonlocal truncated
-        if len(results) >= cap:
-            truncated = True
-            return
-        if idx == len(roaming):
-            results.append(StandardMatching(instance, dict(seats)))
-            return
-        i, bid = roaming[idx]
-        pool = _bundle_pool(instance, free, bid)
-        if not pool:
-            raise RuntimeError(f"no free seat left in bundle {bid}")
-        for s in pool:
-            seats[i] = s
-            free[s] -= 1
-            place(idx + 1)
-            free[s] += 1
-            seats[i] = None
-        if truncated:
-            return
-
-    place(0)
+    truncated = _seat(instance, roaming, 0, seats, free, results, cap)
     return results, truncated
+
+
+def _seat(instance, roaming, idx, seats, free, results, cap):
+    """Append every completion of `seats` from roaming student idx on to
+    `results`; stop and return True on reaching a node with `cap` found.
+
+    A module-level function, not a closure over the enumeration, so that
+    nothing refers to itself and every call's state is freed when it returns.
+    """
+    if len(results) >= cap:
+        return True
+    if idx == len(roaming):
+        results.append(StandardMatching(instance, dict(seats)))
+        return False
+    i, bid = roaming[idx]
+    pool = _bundle_pool(instance, free, bid)
+    if not pool:
+        raise RuntimeError(f"no free seat left in bundle {bid}")
+    for s in pool:
+        seats[i] = s
+        free[s] -= 1
+        truncated = _seat(instance, roaming, idx + 1, seats, free, results, cap)
+        free[s] += 1
+        seats[i] = None
+        if truncated:
+            return True
+    return False

@@ -1,0 +1,231 @@
+"""Exhaustive searches: the oracles and the seat enumerator.
+
+The package's searches are compared with the recursive closures they
+replaced, kept in `search_reference`, on seeded batteries and the fixtures:
+the same verdicts, witnesses and seat assignments, in fewer nodes wherever a
+size-maximality search can stop early.  A last test checks that no library
+entry point leaves cyclic garbage for the collector.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+import search_reference as ref
+from conftest import build, load_json
+from random_markets import _supbundle_cases, generate, random_spanning_market
+
+from bundlechoice import (
+    BundleMatching,
+    ImplementationPolicy,
+    OracleBoundExceeded,
+    check_bundle_stability,
+    check_standard_stability,
+    detect_simplicity,
+    enumerate_implementations,
+    find_stable_pareto_improvement,
+    implement,
+    oracle_pareto_undominated_size_maximal,
+    oracle_size_maximal,
+    property_supbundle_monotone,
+    property_truthtelling,
+    run_bundle_da,
+    run_bundle_da_general,
+    run_bundle_da_simple,
+    run_standard_da,
+)
+from bundlechoice import audit
+
+FIXTURE_MARKETS = (
+    ("two_hierarchy_market.json", "two_hierarchy_market_rols.json"),
+    ("nested_bundle_market.json", "nested_bundle_market_rols.json"),
+    ("five_student_market.json", "five_student_market_rols.json"),
+    ("three_student_overdemand.json", "three_student_overdemand_baseline_rols.json"),
+    ("three_student_overdemand.json", "three_student_overdemand_deviation_rols.json"),
+)
+
+
+def _unseated(rng, nu):
+    """nu with each matched student unseated with probability one half."""
+    return BundleMatching(nu.instance, {
+        i: None if rng.random() < 0.5 else bid for i, bid in nu.as_dict().items()
+    })
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """(bundle-matching, ROLs) pairs: per market the engine outcome, the
+    outcome with random students unseated and everyone unmatched, over 300
+    random simple markets, 100 random spanning markets and the fixtures,
+    plus the two five-student matchings the fixtures pin."""
+    rng = np.random.default_rng(1717)
+    markets = generate(300, 1717)
+    markets += [random_spanning_market(rng) for _ in range(100)]
+    markets += [(build(load_json(doc)), load_json(rols)["rols"])
+                for doc, rols in FIXTURE_MARKETS]
+    pairs = []
+    for instance, rols in markets:
+        nu, _ = run_bundle_da(instance, rols)
+        empty = BundleMatching(instance, dict.fromkeys(instance.students))
+        pairs += [(nu, rols), (_unseated(rng, nu), rols), (empty, rols)]
+    swap = build(load_json("five_student_market.json"))
+    swap_rols = load_json("five_student_market_rols.json")["rols"]
+    for doc in ("five_student_matching.json", "five_student_swapped_matching.json"):
+        pairs.append((BundleMatching(swap, load_json(doc)["matching"]), swap_rols))
+    return pairs
+
+
+@pytest.fixture
+def package_nodes(monkeypatch):
+    """The level of every node the package's assignment searches visit."""
+    nodes = []
+    descend = audit._descend
+
+    def counted(levels, idx, *state):
+        nodes.append(idx)
+        return descend(levels, idx, *state)
+
+    monkeypatch.setattr(audit, "_descend", counted)
+    return nodes
+
+
+def _as_dict(matching):
+    return None if matching is None else matching.as_dict()
+
+
+def test_searches_equal_the_recursive_references(cases):
+    found = {"size": 0, "pusm": 0, "improvement": 0, "truncated": 0}
+    for nu, rols in cases:
+        size = oracle_size_maximal(nu, rols)
+        pusm = oracle_pareto_undominated_size_maximal(nu, rols)
+        better = find_stable_pareto_improvement(nu, rols)
+        assert size == ref.oracle_size_maximal(nu, rols)
+        assert pusm == ref.oracle_pareto_undominated_size_maximal(nu, rols)
+        assert _as_dict(better) == _as_dict(ref.find_stable_pareto_improvement(nu, rols))
+        for cap in (10000, 1, 2, 3):
+            matchings, truncated = enumerate_implementations(nu, cap)
+            expected, expected_truncated = ref.enumerate_implementations(nu, cap)
+            assert (matchings, truncated) == (expected, expected_truncated)
+            found["truncated"] += truncated
+        found["size"] += not size[0]
+        found["pusm"] += not pusm[0]
+        found["improvement"] += better is not None
+    assert found["size"] >= 400 and found["pusm"] >= 300
+    assert found["improvement"] >= 100 and found["truncated"] >= 300
+
+
+def test_size_searches_visit_no_more_nodes_than_the_references(cases,
+                                                               package_nodes):
+    """Each size-maximality search visits at most the reference's nodes, and
+    strictly fewer over the battery; the improvement search, which cannot
+    stop early, visits the same nodes."""
+    oracles = (
+        (oracle_size_maximal, ref.oracle_size_maximal),
+        (oracle_pareto_undominated_size_maximal,
+         ref.oracle_pareto_undominated_size_maximal),
+    )
+    totals = [[0, 0] for _ in oracles]
+    for nu, rols in cases:
+        for total, (oracle, reference) in zip(totals, oracles):
+            del package_nodes[:]
+            expected = []
+            oracle(nu, rols)
+            reference(nu, rols, nodes=expected)
+            assert len(package_nodes) <= len(expected)
+            total[0] += len(package_nodes)
+            total[1] += len(expected)
+        del package_nodes[:]
+        expected = []
+        find_stable_pareto_improvement(nu, rols)
+        ref.find_stable_pareto_improvement(nu, rols, nodes=expected)
+        assert package_nodes == expected
+    for pruned, full in totals:
+        assert pruned < full
+
+
+@pytest.mark.parametrize("oracle", (
+    oracle_size_maximal,
+    oracle_pareto_undominated_size_maximal,
+    find_stable_pareto_improvement,
+))
+def test_oracles_refuse_above_the_bound_before_any_search(oracle, package_nodes):
+    instance = build(load_json("two_hierarchy_market.json"))
+    rols = load_json("two_hierarchy_market_rols.json")["rols"]
+    empty = BundleMatching(instance, dict.fromkeys(instance.students))
+    with pytest.raises(OracleBoundExceeded):
+        oracle(empty, rols, bound=1)
+    assert package_nodes == []
+
+
+def _stage_rankings(nu):
+    """Every bundle admit ranks her bundle's schools in reverse canonical
+    order."""
+    instance = nu.instance
+    return {
+        i: sorted(instance.bundles[bid].schools, reverse=True)
+        for i, bid in nu.as_dict().items()
+        if bid is not None and not instance.bundles[bid].trivial
+    }
+
+
+def _entry_points(instance, rols):
+    """(name, call) for every library entry point on one market."""
+    nu, _ = run_bundle_da(instance, rols)
+    mu = implement(nu, ImplementationPolicy("det"))
+    trivial = {i: [b for b in rol if instance.bundles[b].trivial]
+               for i, rol in rols.items()}
+    listing = [i for i in instance.students if len(rols[i]) >= 2]
+    calls = [
+        ("run_bundle_da_general", lambda: run_bundle_da_general(instance, rols)),
+        ("run_standard_da", lambda: run_standard_da(instance, trivial)),
+        ("check_bundle_stability", lambda: check_bundle_stability(nu, rols)),
+        ("check_standard_stability", lambda: check_standard_stability(mu, rols)),
+        ("oracle_size_maximal", lambda: oracle_size_maximal(nu, rols)),
+        ("oracle_pareto_undominated_size_maximal",
+         lambda: oracle_pareto_undominated_size_maximal(nu, rols)),
+        ("find_stable_pareto_improvement",
+         lambda: find_stable_pareto_improvement(nu, rols)),
+        ("enumerate_implementations", lambda: enumerate_implementations(nu)),
+        ("implement det", lambda: implement(nu, ImplementationPolicy("det"))),
+        ("implement random",
+         lambda: implement(nu, ImplementationPolicy("random", seed=7))),
+        ("implement prefs", lambda: implement(
+            nu, ImplementationPolicy("prefs", preferences=_stage_rankings(nu)))),
+    ]
+    if detect_simplicity(instance).simple:
+        calls.append(("run_bundle_da_simple",
+                      lambda: run_bundle_da_simple(instance, rols)))
+    if listing:
+        calls.append(("property_truthtelling",
+                      lambda: property_truthtelling(instance, rols, listing[0])))
+    for i, b, sup in _supbundle_cases(instance, rols)[:1]:
+        calls.append(("property_supbundle_monotone",
+                      lambda: property_supbundle_monotone(instance, rols, i, b, sup)))
+    return calls
+
+
+def test_entry_points_leave_no_cyclic_garbage():
+    """With the collector off during a call, collecting afterwards finds
+    nothing: everything a call built is freed by reference counting.  What
+    exists before the calls is frozen, so each collection reads only what
+    the calls left."""
+    rng = np.random.default_rng(4040)
+    markets = generate(40, 4040)
+    markets += [random_spanning_market(rng) for _ in range(40)]
+    calls = [call for instance, rols in markets
+             for call in _entry_points(instance, rols)]
+    garbage = {}
+    gc.collect()
+    gc.freeze()
+    try:
+        for name, call in calls:
+            gc.disable()
+            try:
+                call()
+            finally:
+                gc.enable()
+                garbage[name] = garbage.get(name, 0) + gc.collect()
+    finally:
+        gc.unfreeze()
+    assert len(garbage) == 14
+    assert garbage == dict.fromkeys(garbage, 0)
