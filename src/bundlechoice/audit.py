@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .engines import run_bundle_da
-from .model import UNMATCHED
+from .model import UNMATCHED, _read_rols
 
 
 class OracleBoundExceeded(Exception):
@@ -81,22 +81,6 @@ def _rol_rank(rol, bundle_id):
     return len(rol)
 
 
-def _lists(instance, rols):
-    """Every student's ROL as a tuple, in canonical student order.
-
-    Raises ValueError on the first entry naming a bundle the instance lacks;
-    entries a student is not eligible for pass, as library callers may audit
-    unvalidated lists.
-    """
-    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
-    bundles = instance.bundles
-    if not bundles.keys() >= set().union(*rol.values()):
-        i, bid = next((i, bid) for i, entries in rol.items()
-                      for bid in entries if bid not in bundles)
-        raise ValueError(f"student {i}: unknown bundle {bid}")
-    return rol
-
-
 def _prefers_on_all(instance, schools, i, j):
     """True iff i outranks j at every one of the given schools."""
     return all(instance.prefers(s, i, j) for s in schools)
@@ -107,7 +91,8 @@ def _rivals(instance, holders, full, desired):
 
     Only holders of the bundle itself (case 1), of a bundle inside it
     (case 2) or of a bundle containing it (case 3) can; a case-3 holder is
-    dropped when a bundle between the two is full.  `schools` are the
+    dropped when `desired` or a bundle between the two is full, so the
+    chain is walked up to its first full bundle.  `schools` are the
     schools at which the envious student must outrank j.  Sorted by student.
     """
     tree = instance.tree
@@ -117,11 +102,11 @@ def _rivals(instance, holders, full, desired):
         if held != desired:
             have = instance.bundles[held].schools
             rivals += [(j, 2, have) for j in holders.get(held, ())]
-    chain = set(tree.ancestors[desired])
-    for held in tree.ancestors[desired]:
-        between = chain - set(tree.ancestors[held])
-        if held != desired and not between & full:
+    for held in tree.chain[desired]:
+        if held != desired:
             rivals += [(j, 3, want) for j in holders.get(held, ())]
+        if held in full:
+            break
     rivals.sort(key=lambda rival: instance.student_key(rival[0]))
     return rivals
 
@@ -173,7 +158,7 @@ def check_bundle_stability(nu, rols, instance=None):
     d's rivals are listed and compared one by one only when a bar is beaten.
     """
     instance = instance or nu.instance
-    rol = _lists(instance, rols)
+    rol = _read_rols(instance, rols)
     seat = nu.as_dict()
     violations = []
 
@@ -181,7 +166,7 @@ def check_bundle_stability(nu, rols, instance=None):
         if seat[i] is not UNMATCHED and seat[i] not in rol[i]:
             violations.append(("ir", i))
 
-    ancestors = instance.tree.ancestors
+    chains = instance.tree.chain
     full = {
         bid
         for bid in instance.bundle_order
@@ -192,7 +177,7 @@ def check_bundle_stability(nu, rols, instance=None):
         current = _rol_rank(rol[i], seat[i])
         for desired in rol[i][:current]:
             desires.append((i, desired))
-            if not any(sup in full for sup in ancestors[desired]):
+            if not any(sup in full for sup in chains[desired]):
                 violations.append(("waste", i, desired))
     if not desires:
         return StabilityVerdict(violations)
@@ -232,7 +217,7 @@ def check_standard_stability(mu, rols, instance=None):
     worst of them.
     """
     instance = instance or mu.instance
-    rol = _lists(instance, rols)
+    rol = _read_rols(instance, rols)
     bundles = instance.bundles
     seat = mu.as_dict()
     violations, claims = [], []
@@ -281,17 +266,15 @@ def _search_assignments(instance, options, accept=None, needed=None):
     The caller checks the option product against its bound first.
     """
     students = list(instance.students)
-    ancestors = instance.tree.ancestors
+    chains = instance.tree.chain
     levels = [
         (i, needed is not None and i in needed,
-         [(bid, () if bid is UNMATCHED else ancestors[bid]) for bid in options[i]])
+         [(bid, () if bid is UNMATCHED else chains[bid]) for bid in options[i]])
         for i in students
     ]
     last = max((k for k, (_, counts, _) in enumerate(levels) if counts),
                default=-1)
-    remaining = {
-        bid: instance.bundle_quota(bid) for bid in instance.bundle_order
-    }
+    remaining = dict(instance.tree.quota)
     return _descend(levels, 0, last, needed is None, remaining, {}, accept)
 
 
@@ -342,7 +325,7 @@ def _larger_assignment(nu, rols, instance, bound, options_if_matched):
     keeps one of `options_if_matched(rol, bundle)`; the others may stay out.
     """
     instance = instance or nu.instance
-    rol = _lists(instance, rols)
+    rol = _read_rols(instance, rols)
     matched = {i for i in instance.students if nu[i] in rol[i]}
     options = {
         i: options_if_matched(rol[i], nu[i]) if i in matched
@@ -393,7 +376,7 @@ def find_stable_pareto_improvement(
     order, or None.  Exhaustive search; refuses above the candidate bound.
     """
     instance = instance or nu.instance
-    rol = _lists(instance, rols)
+    rol = _read_rols(instance, rols)
     options = {}
     for i in instance.students:
         current = _rol_rank(rol[i], nu[i])
@@ -523,16 +506,14 @@ def audit_rol_dominance(rol, instance, indifference_classes=None):
     1-indexed.
     """
     rol = list(rol)
+    chains = instance.tree.chain
     warnings = []
-    for later in range(len(rol)):
-        lower = instance.bundles[rol[later]].schools
-        for earlier in range(later):
-            upper = instance.bundles[rol[earlier]].schools
-            if lower < upper:
-                warnings.append(
-                    ("dominated", later + 1, rol[later], rol[earlier])
-                )
-                break
+    for later, bid in enumerate(rol):
+        chain = chains[bid]
+        upper = next((sup for sup in rol[:later] if sup != bid and sup in chain),
+                     None)
+        if upper is not None:
+            warnings.append(("dominated", later + 1, bid, upper))
     for classes in indifference_classes or ():
         classes = frozenset(classes)
         whole = instance.bundle_for_schools(classes)

@@ -66,16 +66,15 @@ and keys.  Everything else is derived when read.  Its `decisions` are, per
 root in tree order, the round's pending applications in key order, each
 ("admit", i, b) unless rejected; standard DA's are, per school in the order
 schools were first proposed to, its losers and then its holders by priority.
-`applications`, `admitted` and `rejected` follow from them, and `events`
-adds to each admit the seats left in every bundle after it, replayed from
-the full quotas.
+`applications`, `admitted` and `rejected` follow from them, and the
+trace's `events` flattens them with their round numbers.
 """
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import count
 
-from .model import BundleMatching, detect_simplicity
+from .model import BundleMatching, _read_rols, detect_simplicity
 
 
 @dataclass(eq=False)
@@ -84,7 +83,7 @@ class _Run:
     every application placed, and how a round lays out its views."""
 
     rol: dict  # student -> her entries, in canonical student order
-    tree: object  # replays admit snapshots; None when no decision admits
+    tree: object  # gives `_bundle_decisions` the roots; None for standard DA
     applications: object  # Round -> its `applications` view
     decisions: object  # Round -> its `decisions` view
     keys: dict = field(default_factory=dict)  # (student, bundle) -> key
@@ -132,20 +131,6 @@ class Round:
     def rejected(self):
         return [i for kind, i, _ in self.decisions if kind == "reject"]
 
-    @property
-    def events(self):
-        """The decisions in order, each admit followed by a fresh copy of
-        every bundle's seats left after it."""
-        tree = self.run.tree
-        remaining = dict(tree.quota) if tree else None
-        events = []
-        for decision in self.decisions:
-            if decision[0] == "admit":
-                tree.admit(remaining, decision[2])
-                decision += (dict(remaining),)
-            events.append(decision)
-        return events
-
 
 @dataclass
 class EngineTrace:
@@ -157,10 +142,10 @@ class EngineTrace:
         return self.rounds[-1].admitted if self.rounds else {}
 
     def events(self):
-        """Flat (round, kind, *detail) event stream for logging/CSV export."""
+        """Flat (round, kind, student, option) stream for logging/CSV export."""
         for rnd in self.rounds:
-            for ev in rnd.events:
-                yield (rnd.number,) + ev
+            for decision in rnd.decisions:
+                yield (rnd.number, *decision)
 
 
 class _Seats:
@@ -233,10 +218,6 @@ def _deferred_acceptance(instance, name, seats, key, run):
                 proposals[i] = rol[i][pointer[i]]
 
 
-def _lists(instance, rols):
-    return {i: tuple(rols.get(i, ())) for i in instance.students}
-
-
 def _standard_decisions(rnd):
     """Per school, in the order schools were first proposed to, the round's
     losers and then its holders, each in priority order."""
@@ -259,7 +240,8 @@ def _standard_decisions(rnd):
 
 def run_standard_da(instance, rols):
     """Student-proposing deferred acceptance over one-school bundles only."""
-    for i, entries in rols.items():
+    rol = _read_rols(instance, rols)
+    for i, entries in rol.items():
         for bid in entries:
             if not instance.bundles[bid].trivial:
                 raise ValueError(
@@ -268,7 +250,7 @@ def run_standard_da(instance, rols):
                 )
     # A one-school bundle's id is its school's id.
     quota = {s: school.quota for s, school in instance.schools.items()}
-    run = _Run(_lists(instance, rols), None,
+    run = _Run(rol, None,
                lambda rnd: dict(rnd.proposals), _standard_decisions)
     seats = _Seats(quota, {s: (s,) for s in quota}, run.keys)
 
@@ -337,7 +319,7 @@ def _bundle_decisions(rnd):
 def _bundle_da(instance, rols, tiebreak, name):
     """The run both bundle engines make."""
     tree = instance.tree
-    run = _Run(_lists(instance, rols), tree, Round.pending, _bundle_decisions)
+    run = _Run(_read_rols(instance, rols), tree, Round.pending, _bundle_decisions)
     seats = _Seats(tree.quota, tree.chain, run.keys)
     key = _application_key(instance, tiebreak)
     return _deferred_acceptance(instance, name, seats, key, run)

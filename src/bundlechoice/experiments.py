@@ -241,15 +241,17 @@ def serial_admission(config, rols, order):
     free maps bundle id -> schools whose seat is still open for the final
     within-bundle assignment.
     """
-    tree = config.tree
-    remaining = dict(tree.quota)
+    chains = config.tree.chain
+    left = dict(config.tree.quota)
     outcome = {}
     holders = {bid: [] for bid in config.bundles}
     for i in order:
         outcome[i] = None
         for option in rols.get(i, ()):
-            if remaining[option] >= 1:
-                tree.admit(remaining, option)
+            chain = chains[option]
+            if all(map(left.get, chain)):  # no bundle around it is full
+                for a in chain:
+                    left[a] -= 1
                 if option in holders:
                     holders[option].append(i)
                 outcome[i] = option

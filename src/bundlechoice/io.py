@@ -270,11 +270,7 @@ def canonical_result(command, inputs, **blocks):
 
 
 def trace_csv(trace):
-    """One row per engine decision: round, event, student, option.
-
-    Reads each round's decisions, so no admit's quota snapshot is rebuilt
-    only to be dropped.
-    """
+    """One row per engine decision: round, event, student, option."""
     lines = ["round,event,student,option"]
     for rnd in trace.rounds:
         lines += [f"{rnd.number},{kind},{student},{option}"

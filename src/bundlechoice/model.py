@@ -16,11 +16,10 @@ bundles are synthesized automatically (one per school, id = school id,
 targeting everyone) and must not be spelled out in the input.
 
 A laminar bundle system is a forest under containment.  `BundleTree`, built
-once per market, holds every bundle's ancestors, descendants, root and nested
-quota (its schools' total quota); its `admit` (charge the bundle and every
-bundle containing it) and `close` (zero a bundle and everything inside it)
-count seats left for the experiment games and the engines' trace.  The
-engines themselves keep each bundle's holders along its ancestor chain.
+once per market from the bundles containing each school, holds every
+bundle's chain (it and the bundles containing it), descendants, root and
+nested quota (its schools' total quota).  It only describes containment:
+the engines and the experiment games count seats along its chains.
 """
 
 from dataclasses import dataclass, field
@@ -71,46 +70,28 @@ class BundleTree:
 
     `quotas` maps school ids to seat counts; `school_sets` maps bundle ids,
     in canonical order, to their school sets, one-school bundles included.
-    Every tuple is in canonical order but `chain`'s, which lists a bundle's
-    ancestors from itself up; `root` maps each bundle to the maximal bundle
-    containing it.
+    `chain` lists a bundle and the bundles containing it, smallest first;
+    `descendants` (the bundles inside one, itself included) and `roots` are
+    in canonical order; `root` maps each bundle to its maximal container.
     """
 
     def __init__(self, quotas, school_sets):
         self.quota = {
             b: sum(quotas[s] for s in schools) for b, schools in school_sets.items()
         }
-        up = {b: [] for b in school_sets}
+        # The bundles containing one school nest, so a bundle's chain is the
+        # end of any of its schools' lists, from the bundle on.
+        containing = _school_chains(school_sets)
+        self.chain = {}
         down = {b: [] for b in school_sets}
-        for a, outer in school_sets.items():
-            for b, inner in school_sets.items():
-                if inner <= outer:
-                    up[b].append(a)
-                    down[a].append(b)
-        self.ancestors = {b: tuple(chain) for b, chain in up.items()}
-        self.chain = {  # the same, smallest first
-            b: tuple(sorted(chain, key=lambda a: len(school_sets[a])))
-            for b, chain in up.items()
-        }
+        for b, schools in school_sets.items():
+            around = containing[next(iter(schools))]
+            self.chain[b] = chain = tuple(around[around.index(b):])
+            for a in chain:
+                down[a].append(b)
         self.descendants = {b: tuple(below) for b, below in down.items()}
-        self.roots = tuple(b for b, chain in up.items() if len(chain) == 1)
+        self.roots = tuple(b for b, chain in self.chain.items() if len(chain) == 1)
         self.root = {d: r for r in self.roots for d in down[r]}
-
-    def admit(self, remaining, bundle_id):
-        """Seat one student in a bundle with a seat left: charge its ancestors."""
-        if remaining[bundle_id] < 1:
-            raise ValueError(f"bundle {bundle_id} has no seat left")
-        chain = self.ancestors[bundle_id]
-        for a in chain:
-            remaining[a] -= 1
-        for a in chain:
-            if remaining[a] == 0:
-                self.close(remaining, a)
-
-    def close(self, remaining, bundle_id):
-        """Take every seat of a bundle and of every bundle inside it."""
-        for d in self.descendants[bundle_id]:
-            remaining[d] = 0
 
 
 class Instance:
@@ -350,19 +331,29 @@ def validate_instance(raw):
     return Instance(students, schools, bundles, rol_length, rank_maps)
 
 
+def _school_chains(school_sets):
+    """The ids of the bundles containing each school, smallest first and
+    in the given order among equals."""
+    containing = {}
+    for b, schools in school_sets.items():
+        for s in schools:
+            containing.setdefault(s, []).append(b)
+    for chain in containing.values():
+        chain.sort(key=lambda b: len(school_sets[b]))
+    return containing
+
+
 def _chains_nest(bundles):
     """True if the bundles containing each school, smallest first, nest
     strictly and narrow their targets.  Containment and target inclusion are
     transitive, so adjacent pairs decide every pair."""
-    containing = {}
-    for b in bundles:
-        for s in b.schools:
-            containing.setdefault(s, []).append(b)
+    by_id = {b.id: b for b in bundles}
+    containing = _school_chains({b.id: b.schools for b in bundles})
     return all(
         small.schools < big.schools
         and (small.targets is big.targets or small.targets >= big.targets)
         for chain in containing.values()
-        for small, big in pairwise(sorted(chain, key=lambda b: len(b.schools)))
+        for small, big in pairwise(map(by_id.get, chain))
     )
 
 
@@ -449,6 +440,22 @@ def validate_rols(instance, rols):
     return report
 
 
+def _read_rols(instance, rols):
+    """Every student's ROL as a tuple, in canonical student order.
+
+    Raises ValueError on the first entry naming a bundle the instance lacks;
+    entries a student is not eligible for pass, as library callers may run
+    and audit unvalidated lists.
+    """
+    rol = {i: tuple(rols.get(i, ())) for i in instance.students}
+    bundles = instance.bundles
+    if not bundles.keys() >= set().union(*rol.values()):
+        i, bid = next((i, bid) for i, entries in rol.items()
+                      for bid in entries if bid not in bundles)
+        raise ValueError(f"student {i}: unknown bundle {bid}")
+    return rol
+
+
 @dataclass(frozen=True)
 class SimplicityInfo:
     simple: bool
@@ -506,7 +513,7 @@ class BundleMatching:
                 raise ValueError(f"student {i} assigned to unknown bundle {bid}")
             if i not in instance.bundles[bid].targets:
                 raise ValueError(f"student {i} is not eligible for bundle {bid}")
-            for a in instance.tree.ancestors[bid]:
+            for a in instance.tree.chain[bid]:
                 self._occupancy[a] += 1
         for bid in instance.bundle_order:
             if self._occupancy[bid] > instance.bundle_quota(bid):

@@ -9,6 +9,11 @@ decisions.  The package places only each round's new applications into the
 seats held so far, and derives these views when read; `test_engines.py`
 compares the two round by round.  The code here shares nothing with the
 engines it checks but the validated instance and its bundle tree.
+
+Seats are counted here by `admit` and `close` over the tree's chains and
+descendants, and `events` replays them over a round's decisions: each admit
+followed by a copy of every bundle's seats left after it.  The tests that
+pin those snapshots read them from this replay.
 """
 
 from bisect import bisect_left
@@ -18,6 +23,38 @@ from itertools import count
 from bundlechoice import detect_simplicity
 
 
+def admit(tree, remaining, bundle_id):
+    """Seat one student in a bundle with a seat left: charge it and every
+    bundle containing it, and close each one that runs out."""
+    if remaining[bundle_id] < 1:
+        raise ValueError(f"bundle {bundle_id} has no seat left")
+    chain = tree.chain[bundle_id]
+    for a in chain:
+        remaining[a] -= 1
+    for a in chain:
+        if remaining[a] == 0:
+            close(tree, remaining, a)
+
+
+def close(tree, remaining, bundle_id):
+    """Take every seat of a bundle and of every bundle inside it."""
+    for d in tree.descendants[bundle_id]:
+        remaining[d] = 0
+
+
+def events(instance, decisions):
+    """A round's decisions in order, each admit followed by a fresh copy of
+    every bundle's seats left after it, replayed from the full quotas."""
+    remaining = dict(instance.tree.quota)
+    replayed = []
+    for decision in decisions:
+        if decision[0] == "admit":
+            admit(instance.tree, remaining, decision[2])
+            decision += (dict(remaining),)
+        replayed.append(decision)
+    return replayed
+
+
 @dataclass
 class Round:
     number: int
@@ -25,19 +62,6 @@ class Round:
     admitted: dict  # holdings at the end of the round
     rejected: list
     decisions: list = field(default_factory=list)  # (kind, student, option)
-    tree: object = field(default=None, repr=False)
-
-    @property
-    def events(self):
-        """Each admit followed by a copy of every bundle's seats left."""
-        remaining = dict(self.tree.quota) if self.tree else None
-        events = []
-        for decision in self.decisions:
-            if decision[0] == "admit":
-                self.tree.admit(remaining, decision[2])
-                decision += (dict(remaining),)
-            events.append(decision)
-        return events
 
 
 def _deferred_acceptance(instance, rols, clear):
@@ -110,7 +134,7 @@ def _application_key(instance, tiebreak):
         found = keys.get((i, b))
         if found is None:
             if b not in shape:
-                chain = sorted(tree.ancestors[b],
+                chain = sorted(tree.chain[b],
                                key=lambda a: -len(bundles[a].schools))
                 first = next(s for s in instance.school_order
                              if s in bundles[b].schools)
@@ -148,7 +172,7 @@ def reference_bundle_da(instance, rols, tiebreak=None):
         def application_key(i):
             return key(i, pending[i])
 
-        rnd = Round(number, pending, {}, [], tree=tree)
+        rnd = Round(number, pending, {}, [])
         remaining = dict(tree.quota)
         queues = {root: [] for root in tree.roots}
         for i, bid in pending.items():
@@ -158,7 +182,7 @@ def reference_bundle_da(instance, rols, tiebreak=None):
             for i in queue:
                 bid = pending[i]
                 if remaining[bid] > 0:
-                    tree.admit(remaining, bid)
+                    admit(tree, remaining, bid)
                     rnd.admitted[i] = bid
                     rnd.decisions.append(("admit", i, bid))
                 else:

@@ -11,9 +11,9 @@ node it visits.
 """
 
 from bundlechoice import StandardMatching, check_bundle_stability
-from bundlechoice.audit import _check_bound, _lists, _rol_rank
+from bundlechoice.audit import _check_bound, _rol_rank
 from bundlechoice.implementation import _bundle_pool, _stage_plan
-from bundlechoice.model import UNMATCHED
+from bundlechoice.model import UNMATCHED, _read_rols
 
 DEFAULT_ORACLE_BOUND = 10**7
 
@@ -41,7 +41,7 @@ def search_assignments(instance, options, accept, nodes=None):
                 if found:
                     return found
                 continue
-            sups = instance.tree.ancestors[choice]
+            sups = instance.tree.chain[choice]
             if any(remaining[sup] == 0 for sup in sups):
                 continue
             for sup in sups:
@@ -60,7 +60,7 @@ def search_assignments(instance, options, accept, nodes=None):
 
 def _larger_assignment(nu, rols, instance, bound, options_if_matched, nodes):
     instance = instance or nu.instance
-    rol = _lists(instance, rols)
+    rol = _read_rols(instance, rols)
     matched = {i for i in instance.students if nu[i] in rol[i]}
     options = {
         i: options_if_matched(rol[i], nu[i]) if i in matched
@@ -100,7 +100,7 @@ def find_stable_pareto_improvement(
     nu, rols, instance=None, bound=DEFAULT_ORACLE_BOUND, nodes=None
 ):
     instance = instance or nu.instance
-    rol = _lists(instance, rols)
+    rol = _read_rols(instance, rols)
     options = {}
     for i in instance.students:
         current = _rol_rank(rol[i], nu[i])

@@ -268,7 +268,7 @@ def _bundle_violations_by_full_scan(nu, rols, instance):
     """Reference: compare every (student, desired bundle) with every other
     student, whatever she holds."""
     rol = {i: tuple(rols.get(i, ())) for i in instance.students}
-    ancestors = instance.tree.ancestors
+    chains = instance.tree.chain
     full = {b for b in instance.bundle_order
             if nu.occupancy(b) == instance.bundle_quota(b)}
 
@@ -278,7 +278,7 @@ def _bundle_violations_by_full_scan(nu, rols, instance):
     out = [("ir", i) for i in instance.students
            if nu[i] is not None and nu[i] not in rol[i]]
     out += [("waste", i, d) for i in instance.students for d in desired(i)
-            if not any(sup in full for sup in ancestors[d])]
+            if not any(sup in full for sup in chains[d])]
     for i in instance.students:
         for d in desired(i):
             want = instance.bundles[d].schools
@@ -289,12 +289,12 @@ def _bundle_violations_by_full_scan(nu, rols, instance):
                 if held == d:
                     if _prefers_on_all(instance, want, i, j):
                         out.append(("envy", i, j, d, 1))
-                elif d in ancestors[held]:
+                elif d in chains[held]:
                     have = instance.bundles[held].schools
                     if _prefers_on_all(instance, have, i, j):
                         out.append(("envy", i, j, d, 2))
-                elif held in ancestors[d]:
-                    between = set(ancestors[d]) - set(ancestors[held])
+                elif held in chains[d]:
+                    between = set(chains[d]) - set(chains[held])
                     if not between & full and _prefers_on_all(instance, want, i, j):
                         out.append(("envy", i, j, d, 3))
     return tuple(out)
@@ -304,7 +304,7 @@ def _seats_left(instance, assignment):
     left = dict(instance.tree.quota)
     for bid in assignment.values():
         if bid is not None:
-            for sup in instance.tree.ancestors[bid]:
+            for sup in instance.tree.chain[bid]:
                 left[sup] -= 1
     return left
 
@@ -315,7 +315,7 @@ def _place(rng, instance, rols, assignment, i):
     assignment[i] = None
     left = _seats_left(instance, assignment)
     open_ = [b for b in instance.menu(i)
-             if all(left[sup] > 0 for sup in instance.tree.ancestors[b])]
+             if all(left[sup] > 0 for sup in instance.tree.chain[b])]
     listed = [b for b in rols.get(i, ()) if b in open_]
     pool = listed if listed and rng.random() < 0.75 else open_ + [None]
     assignment[i] = pool[int(rng.integers(len(pool)))]

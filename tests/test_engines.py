@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import stability_oracle
-from clearing_reference import reference_bundle_da, reference_standard_da
+from clearing_reference import events, reference_bundle_da, reference_standard_da
 from conftest import build, load_json
 from manipulation_oracle import profitable_misreports
 from random_markets import (
@@ -73,9 +73,10 @@ def test_simple_engine_reproduces_walkthrough(walkthrough, walkthrough_rols):
 
 def test_simple_engine_quota_snapshots_never_negative(walkthrough, walkthrough_rols):
     _, trace = run_bundle_da_simple(walkthrough, walkthrough_rols)
-    for ev in trace.events():
-        if ev[1] == "admit":
-            assert all(v >= 0 for v in ev[4].values())
+    for rnd in trace.rounds:
+        for ev in events(walkthrough, rnd.decisions):
+            if ev[0] == "admit":
+                assert all(v >= 0 for v in ev[3].values())
 
 
 def test_simple_engine_rejections_are_final(walkthrough, walkthrough_rols):
@@ -114,20 +115,20 @@ def test_general_engine_reproduces_nested_walkthrough(nested, nested_rols):
     assert len(trace.rounds) == 5
 
     first = trace.rounds[0]
-    assert [ev[:3] for ev in first.events] == [
+    assert first.decisions == [
         ("admit", "i8", "s4"), ("admit", "i1", "s2"), ("admit", "i4", "s1"),
         ("admit", "i5", "b123"), ("admit", "i2", "b23"),
         ("admit", "i3", "b23"), ("admit", "i7", "b23"),
         ("reject", "i6", "b23"),
     ]
-    i4_admit = first.events[2]
+    i4_admit = events(nested, first.decisions)[2]
     assert i4_admit[3] == {
         "s1": 1, "s2": 1, "s3": 2, "s4": 0, "s5": 1, "b23": 3, "b123": 4
     }
 
     # Holders apply again every round: i6 displaces i8 at s4.
     second = trace.rounds[1]
-    assert [ev[:3] for ev in second.events] == [
+    assert second.decisions == [
         ("admit", "i6", "s4"), ("reject", "i8", "s4"), ("admit", "i1", "s2"),
         ("admit", "i4", "s1"), ("admit", "i5", "b123"), ("admit", "i2", "b23"),
         ("admit", "i3", "b23"), ("admit", "i7", "b23"),
@@ -160,6 +161,15 @@ def test_standard_da_two_student_market(tiny_market, tiny_rols):
 def test_standard_da_rejects_bundle_entries(swap_market, swap_rols):
     with pytest.raises(ValueError, match="one-school entries only"):
         run_standard_da(swap_market, swap_rols)
+
+
+@pytest.mark.parametrize(
+    "engine", [run_bundle_da, run_bundle_da_general, run_standard_da])
+def test_engines_name_an_unknown_bundle(nested, engine):
+    """Every engine reads the lists as the audits do, so an entry the
+    instance lacks is named, not raised as a bare KeyError."""
+    with pytest.raises(ValueError, match="^student i1: unknown bundle nope$"):
+        engine(nested, {"i1": ["nope"]})
 
 
 def test_standard_da_is_serial_dictatorship_under_common_priority():
@@ -344,7 +354,8 @@ def test_rounds_store_decisions_and_derive_snapshots(walkthrough, walkthrough_ro
                                                      nested, nested_rols):
     """A round keeps only its new applications and its rejected students;
     every read of a view builds it afresh, so mutating one changes neither
-    a later read nor the matching."""
+    a later read nor the matching.  The trace's events are the decisions
+    with their round numbers, and carry no seat snapshot."""
     for rols, (nu, trace) in (
             (walkthrough_rols, run_bundle_da_simple(walkthrough, walkthrough_rols)),
             (nested_rols, run_bundle_da_general(nested, nested_rols))):
@@ -359,27 +370,25 @@ def test_rounds_store_decisions_and_derive_snapshots(walkthrough, walkthrough_ro
             assert all(len(decision) == 3 and not any(
                 isinstance(part, dict) for part in decision)
                 for decision in rnd.decisions)
-            first, second = rnd.events, rnd.events
-            assert first == second
-            for event in first:
-                if event[0] == "admit":
-                    event[3].clear()
-            assert first != second
-            assert rnd.events == second
             views = rnd.applications, rnd.admitted
             for view in views:
                 view.clear()
             assert (rnd.applications, rnd.admitted) != views
         assert trace.final and nu.as_dict() == matching
         assert trace.final == {i: b for i, b in matching.items() if b}
+        flat = [(rnd.number, *decision)
+                for rnd in trace.rounds for decision in rnd.decisions]
+        assert list(trace.events()) == flat
+        assert not any(isinstance(part, dict)
+                       for event in trace.events() for part in event)
 
 
-def _views(rnd):
+def _views(instance, rnd):
     return [list(rnd.applications.items()), list(rnd.admitted.items()),
-            rnd.rejected, rnd.decisions, rnd.events]
+            rnd.rejected, rnd.decisions, events(instance, rnd.decisions)]
 
 
-def _differences(result, reference):
+def _differences(instance, result, reference):
     """Where an engine's run differs from the reference run, if anywhere."""
     (nu, trace), (expected, rounds) = result, reference
     if nu.as_dict() != expected:
@@ -387,7 +396,7 @@ def _differences(result, reference):
     if len(trace.rounds) != len(rounds):
         return ["round count"]
     return [rnd.number for rnd, ref in zip(trace.rounds, rounds)
-            if _views(rnd) != _views(ref)]
+            if _views(instance, rnd) != _views(instance, ref)]
 
 
 def _reference_battery():
@@ -413,16 +422,16 @@ def test_engines_equal_the_reference_round_by_round():
     for k, (instance, rols, tiebreaks) in enumerate(_reference_battery()):
         for tiebreak in tiebreaks:
             differ += [(k, "general", tiebreak is None, at) for at in _differences(
-                run_bundle_da_general(instance, rols, tiebreak),
+                instance, run_bundle_da_general(instance, rols, tiebreak),
                 reference_bundle_da(instance, rols, tiebreak))]
         if detect_simplicity(instance).simple:
             differ += [(k, "simple", at) for at in _differences(
-                run_bundle_da_simple(instance, rols),
+                instance, run_bundle_da_simple(instance, rols),
                 reference_bundle_da(instance, rols))]
         trivial = {i: [b for b in rol if instance.bundles[b].trivial]
                    for i, rol in rols.items()}
         differ += [(k, "standard", at) for at in _differences(
-            run_standard_da(instance, trivial),
+            instance, run_standard_da(instance, trivial),
             reference_standard_da(instance, trivial))]
     assert differ == []
 
@@ -471,11 +480,11 @@ def _plain(value):
     return value
 
 
-def _output(result):
+def _output(instance, result):
     matching, trace = result
     return [trace.engine, _plain(matching.as_dict()), [
         [rnd.number, _plain(rnd.applications), _plain(rnd.admitted),
-         _plain(rnd.rejected), _plain(rnd.events)]
+         _plain(rnd.rejected), _plain(events(instance, rnd.decisions))]
         for rnd in trace.rounds
     ]]
 
@@ -513,12 +522,12 @@ def _frozen_digests():
         for instance, rols in markets:
             for tiebreak in (None, instance.students[::-1]):
                 general.append(_output(
-                    run_bundle_da_general(instance, rols, tiebreak)))
+                    instance, run_bundle_da_general(instance, rols, tiebreak)))
             trivial = {i: [b for b in rol if instance.bundles[b].trivial]
                        for i, rol in rols.items()}
-            standard.append(_output(run_standard_da(instance, trivial)))
+            standard.append(_output(instance, run_standard_da(instance, trivial)))
             if detect_simplicity(instance).simple:
-                simple.append(_output(run_bundle_da_simple(instance, rols)))
+                simple.append(_output(instance, run_bundle_da_simple(instance, rols)))
         digests[name] = tuple(map(content_digest, (general, standard, simple)))
     return digests
 

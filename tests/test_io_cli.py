@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from clearing_reference import events
 from conftest import FIXTURES, load_json
 from random_markets import spanning_market
 
@@ -165,14 +166,15 @@ def test_trace_csv_rows(walkthrough, walkthrough_rols):
     assert lines[-1] == "4,reject,i4,s5"
 
 
-def _events_csv(trace):
+def _events_csv(instance, trace):
     """The trace CSV as it was built from the replayed event stream, each
     admit carrying a quota snapshot that the row drops."""
     lines = ["round,event,student,option"]
-    for event in trace.events():
-        number, kind, student = event[0], event[1], event[2]
-        option = event[3] if len(event) > 3 and isinstance(event[3], str) else ""
-        lines.append(f"{number},{kind},{student},{option}")
+    for rnd in trace.rounds:
+        for event in events(instance, rnd.decisions):
+            kind, student = event[0], event[1]
+            option = event[2] if len(event) > 2 and isinstance(event[2], str) else ""
+            lines.append(f"{rnd.number},{kind},{student},{option}")
     return "\n".join(lines) + "\n"
 
 
@@ -181,13 +183,14 @@ def test_trace_csv_equals_the_event_stream_csv(nested, nested_rols, tiny_market,
     rng = np.random.default_rng(2804)
     large, large_rols = spanning_market(rng, 800, [4] * 8, 25, 40, 3)
     tiebreak = [large.students[k] for k in rng.permutation(800)]
-    traces = [
-        run_bundle_da(nested, nested_rols)[1],
-        run_standard_da(tiny_market, tiny_rols)[1],
-        run_bundle_da(large, large_rols, tiebreak)[1],
+    runs = [
+        (nested, run_bundle_da(nested, nested_rols)[1]),
+        (tiny_market, run_standard_da(tiny_market, tiny_rols)[1]),
+        (large, run_bundle_da(large, large_rols, tiebreak)[1]),
     ]
-    for trace in traces:
-        assert trace_csv(trace) == _events_csv(trace)
+    for instance, trace in runs:
+        assert trace_csv(trace) == _events_csv(instance, trace)
+    traces = [trace for _, trace in runs]
     def kinds(trace):
         return {row.split(",")[1] for row in trace_csv(trace).splitlines()[1:]}
 

@@ -1,21 +1,29 @@
 """Instance validation, simplicity detection, and induced preferences."""
 
 import ast
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from audit_helpers import induced_preference
-from conftest import build, load_json
+from clearing_reference import admit, close
+from conftest import FIXTURES, build, load_json
+from random_markets import random_simple_market, random_spanning_market
+from tree_reference import ReferenceTree, layout
 
 import bundlechoice
 from bundlechoice import (
     BundleMatching,
+    Exp1Config,
+    Exp2Config,
     ValidationReport,
     detect_simplicity,
     run_bundle_da_simple,
     validate_instance,
     validate_rols,
 )
+from bundlechoice.model import BundleTree
 
 
 def problems_of(raw):
@@ -166,10 +174,9 @@ def test_nesting_is_a_forest(walkthrough, nested):
 
 def test_bundle_tree_admit_charges_ancestors_and_close_zeroes_descendants(nested):
     tree = nested.tree
-    assert tree.ancestors["s2"] == tree.chain["s2"] == ("s2", "b23", "b123")
+    assert tree.chain["s2"] == ("s2", "b23", "b123")
     raw = load_json("nested_bundle_market.json")
     reordered = build(dict(raw, bundles=raw["bundles"][::-1])).tree
-    assert reordered.ancestors["s2"] == ("s2", "b123", "b23")
     assert reordered.chain["s2"] == ("s2", "b23", "b123")
     assert tree.descendants["b123"] == ("s1", "s2", "s3", "b23", "b123")
     assert tree.roots == ("s4", "s5", "b123")
@@ -177,21 +184,59 @@ def test_bundle_tree_admit_charges_ancestors_and_close_zeroes_descendants(nested
     assert tree.quota == {"s1": 2, "s2": 2, "s3": 2, "s4": 1, "s5": 1,
                           "b23": 4, "b123": 6}
 
+    # The tests' seat replay charges along the chains.
     remaining = dict(tree.quota)
     for _ in range(2):
-        tree.admit(remaining, "s2")
+        admit(tree, remaining, "s2")
     # s2 ran out, so it is closed; its ancestors were only charged
     assert remaining == {"s1": 2, "s2": 0, "s3": 2, "s4": 1, "s5": 1,
                          "b23": 2, "b123": 4}
     for _ in range(2):
-        tree.admit(remaining, "b23")
+        admit(tree, remaining, "b23")
     # b23 ran out: closing it zeroes s3 although s3 itself was never charged
     assert remaining == {"s1": 2, "s2": 0, "s3": 0, "s4": 1, "s5": 1,
                          "b23": 0, "b123": 2}
     with pytest.raises(ValueError, match="bundle s3 has no seat left"):
-        tree.admit(remaining, "s3")
-    tree.close(remaining, "b123")
+        admit(tree, remaining, "s3")
+    close(tree, remaining, "b123")
     assert remaining["s1"] == remaining["b123"] == 0 and remaining["s4"] == 1
+
+
+def _tree_inputs():
+    """(quotas, school sets) of every fixture market, every experiment
+    treatment and two random batteries."""
+    markets = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        instance = validate_instance(json.loads(path.read_text(encoding="utf-8")))
+        if not isinstance(instance, ValidationReport):
+            markets.append(instance)
+    assert len(markets) >= 6
+    simple_rng, spanning_rng = np.random.default_rng(5), np.random.default_rng(6)
+    markets += [random_simple_market(simple_rng)[0] for _ in range(300)]
+    markets += [random_spanning_market(spanning_rng)[0] for _ in range(300)]
+    for instance in markets:
+        quotas = {s: instance.schools[s].quota for s in instance.school_order}
+        yield quotas, {b: instance.bundles[b].schools for b in instance.bundle_order}
+    for config in ([Exp1Config(t) for t in Exp1Config.TREATMENTS]
+                   + [Exp2Config(t) for t in Exp2Config.TREATMENTS]):
+        sets = {s: frozenset({s}) for s in config.schools}
+        sets.update((b, frozenset(members)) for b, members in config.bundles.items())
+        assert layout(config.tree) == layout(ReferenceTree(config.quota, sets))
+        yield config.quota, sets
+
+
+def test_bundle_tree_from_school_chains_equals_the_pairwise_build():
+    """Every field, orders included, with the bundles in their given order,
+    reversed and shuffled."""
+    rng = np.random.default_rng(18)
+    differ = []
+    for k, (quotas, sets) in enumerate(_tree_inputs()):
+        items = list(sets.items())
+        shuffled = [items[p] for p in rng.permutation(len(items))]
+        for order in map(dict, (items, items[::-1], shuffled)):
+            if layout(BundleTree(quotas, order)) != layout(ReferenceTree(quotas, order)):
+                differ.append(k)
+    assert differ == []
 
 
 def test_induced_preference_groups_by_first_occurrence(walkthrough):
