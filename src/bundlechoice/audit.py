@@ -145,7 +145,7 @@ def _bars(instance, holders, full, desired, lead, worsts):
     return [(instance.ranks(s), rank) for s, rank in bar.items()]
 
 
-def check_bundle_stability(nu, rols, instance=None):
+def check_bundle_stability(nu, rols):
     """Check IR, non-wastefulness, and three-case justified envy.
 
     Violations come as every ("ir", i), then every ("waste", i, d), then
@@ -157,7 +157,7 @@ def check_bundle_stability(nu, rols, instance=None):
     claim on d is ruled out by one rank comparison per bar of `_bars`, and
     d's rivals are listed and compared one by one only when a bar is beaten.
     """
-    instance = instance or nu.instance
+    instance = nu.instance
     rol = _read_rols(instance, rols)
     seat = nu.as_dict()
     violations = []
@@ -205,7 +205,7 @@ def check_bundle_stability(nu, rols, instance=None):
     return StabilityVerdict(violations)
 
 
-def check_standard_stability(mu, rols, instance=None):
+def check_standard_stability(mu, rols):
     """Classic stability under the school preferences a ROL induces.
 
     A student's better schools are those of her entries before the first
@@ -216,7 +216,7 @@ def check_standard_stability(mu, rols, instance=None):
     A full school's occupants are walked only when the student outranks the
     worst of them.
     """
-    instance = instance or mu.instance
+    instance = mu.instance
     rol = _read_rols(instance, rols)
     bundles = instance.bundles
     seat = mu.as_dict()
@@ -319,12 +319,12 @@ def _check_bound(options, bound):
             )
 
 
-def _larger_assignment(nu, rols, instance, bound, options_if_matched):
+def _larger_assignment(nu, rols, bound, options_if_matched):
     """(True, None), or (False, the first IR assignment in canonical scan
     order that matches a student nu leaves out).  Every student nu matches
     keeps one of `options_if_matched(rol, bundle)`; the others may stay out.
     """
-    instance = instance or nu.instance
+    instance = nu.instance
     rol = _read_rols(instance, rols)
     matched = {i for i in instance.students if nu[i] in rol[i]}
     options = {
@@ -338,21 +338,17 @@ def _larger_assignment(nu, rols, instance, bound, options_if_matched):
     return (witness is None), witness
 
 
-def oracle_size_maximal(nu, rols, instance=None, bound=DEFAULT_ORACLE_BOUND):
+def oracle_size_maximal(nu, rols, bound=DEFAULT_ORACLE_BOUND):
     """Is no IR assignment matching a strict superset of students?
 
     Returns (True, None) when nu is size-maximal, else (False, witness)
     where the witness is the first strictly-larger IR assignment found in
     canonical scan order.
     """
-    return _larger_assignment(
-        nu, rols, instance, bound, lambda rol, held: list(rol)
-    )
+    return _larger_assignment(nu, rols, bound, lambda rol, held: list(rol))
 
 
-def oracle_pareto_undominated_size_maximal(
-    nu, rols, instance=None, bound=DEFAULT_ORACLE_BOUND
-):
+def oracle_pareto_undominated_size_maximal(nu, rols, bound=DEFAULT_ORACLE_BOUND):
     """Is no IR assignment both strictly larger and weakly better for all?
 
     A dominating assignment must match every currently matched student to
@@ -360,14 +356,11 @@ def oracle_pareto_undominated_size_maximal(
     additional student.  Returns (True, None) or (False, witness).
     """
     return _larger_assignment(
-        nu, rols, instance, bound,
-        lambda rol, held: list(rol[: rol.index(held) + 1]),
+        nu, rols, bound, lambda rol, held: list(rol[: rol.index(held) + 1])
     )
 
 
-def find_stable_pareto_improvement(
-    nu, rols, instance=None, bound=DEFAULT_ORACLE_BOUND
-):
+def find_stable_pareto_improvement(nu, rols, bound=DEFAULT_ORACLE_BOUND):
     """Search for a stable assignment that Pareto-improves on nu.
 
     Every student must end weakly better by her own ROL (unmatched counts
@@ -375,7 +368,7 @@ def find_stable_pareto_improvement(
     check_bundle_stability.  Returns the first such assignment in scan
     order, or None.  Exhaustive search; refuses above the candidate bound.
     """
-    instance = instance or nu.instance
+    instance = nu.instance
     rol = _read_rols(instance, rols)
     options = {}
     for i in instance.students:
@@ -392,7 +385,7 @@ def find_stable_pareto_improvement(
         if all(assignment[i] == nu[i] for i in instance.students):
             return False
         candidate = type(nu)(instance, assignment)
-        return check_bundle_stability(candidate, rols, instance).stable
+        return check_bundle_stability(candidate, rols).stable
 
     found = _search_assignments(instance, options, accept)
     if found is None:

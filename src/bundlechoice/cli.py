@@ -52,20 +52,18 @@ def _load_market(args):
     return instance, rols
 
 
-def _matching(cls, instance, assignment):
-    """A BundleMatching or StandardMatching, or a failure naming the fault."""
-    try:
-        return cls(instance, assignment)
-    except ValueError as err:
-        raise _Failure(str(err))
-
-
-def _bundle_matching(args, instance, needs):
-    """The bundle-level matching document of a command that accepts no other."""
+def _matching(args, instance, needs=None):
+    """(kind, assignment, matching) of the matching document, or a failure
+    naming the document.  A command that `needs` a bundle-level document
+    refuses a seat-level one before building it."""
     kind, assignment = _fail_on_report(bcio.parse_matching(args.matching, instance))
-    if kind != "bundle":
-        raise _Failure(f"{needs} a bundle-level matching document")
-    return _matching(BundleMatching, instance, assignment)
+    if needs and kind != "bundle":
+        raise _Failure(f"{args.matching}: {needs} a bundle-level matching document")
+    cls = BundleMatching if kind == "bundle" else StandardMatching
+    try:
+        return kind, assignment, cls(instance, assignment)
+    except ValueError as err:
+        raise _Failure(f"{args.matching}: {err}")
 
 
 def _tiebreak(args, instance):
@@ -82,11 +80,22 @@ def _tiebreak(args, instance):
     return None
 
 
-def _resolve_engine(args, instance):
-    engine = getattr(args, "engine", "auto")
+def _run_engine(args, instance, rols, engine):
+    """(engine, tiebreak, matching, trace) of one run, `auto` resolved to the
+    simple engine on a simple instance and the general one otherwise.  Standard
+    DA refuses a multi-school ROL entry, named with the ROL document."""
     if engine == "auto":
-        return "simple" if detect_simplicity(instance).simple else "general"
-    return engine
+        engine = "simple" if detect_simplicity(instance).simple else "general"
+    tiebreak = _tiebreak(args, instance) if engine == "general" else None
+    try:
+        if engine == "standard":
+            matching, trace = run_standard_da(instance, rols)
+        else:
+            matching, trace = run_bundle_da(instance, rols, tiebreak, engine)
+    except ValueError as err:
+        where = f"{args.rols}: " if engine == "standard" else ""
+        raise _Failure(where + str(err))
+    return engine, tiebreak, matching, trace
 
 
 def _policy(args, instance):
@@ -120,10 +129,7 @@ def _emit(text):
 
 
 def _cmd_validate(args):
-    instance = bcio.parse_instance(args.instance)
-    if isinstance(instance, ValidationReport):
-        sys.stderr.write(str(instance) + "\n")
-        return 1
+    instance = _fail_on_report(bcio.parse_instance(args.instance))
     blocks = {
         "students": len(instance.students),
         "schools": len(instance.school_order),
@@ -134,10 +140,7 @@ def _cmd_validate(args):
         "ok": True,
     }
     if args.rols:
-        rols = bcio.parse_rols(args.rols, instance)
-        if isinstance(rols, ValidationReport):
-            sys.stderr.write(str(rols) + "\n")
-            return 1
+        rols = _fail_on_report(bcio.parse_rols(args.rols, instance))
         blocks["rol_students"] = len(rols)
     inputs = {"instance": bcio.serialize_instance(instance)}
     _emit(bcio.canonical_result("validate", inputs, **blocks))
@@ -146,10 +149,7 @@ def _cmd_validate(args):
 
 def _cmd_run_da(args):
     instance, rols = _load_market(args)
-    try:
-        matching, trace = run_standard_da(instance, rols)
-    except ValueError as err:
-        raise _Failure(str(err))
+    *_, matching, trace = _run_engine(args, instance, rols, "standard")
     verdict = check_bundle_stability(matching, rols)
     inputs = {"instance": bcio.serialize_instance(instance), "rols": rols}
     _emit(bcio.canonical_result(
@@ -163,12 +163,7 @@ def _cmd_run_da(args):
 
 def _cmd_run_bundle_da(args):
     instance, rols = _load_market(args)
-    engine = _resolve_engine(args, instance)
-    tiebreak = _tiebreak(args, instance) if engine == "general" else None
-    try:
-        matching, trace = run_bundle_da(instance, rols, tiebreak, engine)
-    except ValueError as err:
-        raise _Failure(str(err))
+    engine, tiebreak, matching, trace = _run_engine(args, instance, rols, args.engine)
     policy = _policy(args, instance)
     blocks = {
         "engine": engine,
@@ -198,7 +193,7 @@ def _cmd_run_bundle_da(args):
 
 def _cmd_implement(args):
     instance = _fail_on_report(bcio.parse_instance(args.instance))
-    nu = _bundle_matching(args, instance, "implement needs")
+    *_, nu = _matching(args, instance, "implement needs")
     policy = _policy(args, instance) or ImplementationPolicy("det")
     seats = _seat(args, nu, policy)
     inputs = {
@@ -217,15 +212,9 @@ def _cmd_implement(args):
 
 def _cmd_check_stability(args):
     instance, rols = _load_market(args)
-    kind, assignment = _fail_on_report(bcio.parse_matching(args.matching, instance))
-    if kind == "bundle":
-        verdict = check_bundle_stability(
-            _matching(BundleMatching, instance, assignment), rols
-        )
-    else:
-        verdict = check_standard_stability(
-            _matching(StandardMatching, instance, assignment), rols
-        )
+    kind, assignment, matching = _matching(args, instance)
+    check = check_bundle_stability if kind == "bundle" else check_standard_stability
+    verdict = check(matching, rols)
     inputs = {
         "instance": bcio.serialize_instance(instance),
         "rols": rols,
@@ -242,7 +231,7 @@ def _cmd_check_stability(args):
 
 def _cmd_oracle(args):
     instance, rols = _load_market(args)
-    nu = _bundle_matching(args, instance, "oracles need")
+    *_, nu = _matching(args, instance, "oracles need")
     oracle = {
         "size-max": oracle_size_maximal,
         "pusm": oracle_pareto_undominated_size_maximal,
@@ -262,7 +251,7 @@ def _cmd_oracle(args):
 
 def _cmd_improve(args):
     instance, rols = _load_market(args)
-    nu = _bundle_matching(args, instance, "improve needs")
+    *_, nu = _matching(args, instance, "improve needs")
     better = find_stable_pareto_improvement(nu, rols, bound=args.oracle_bound)
     inputs = {
         "instance": bcio.serialize_instance(instance),
@@ -341,15 +330,7 @@ def _cmd_simulate(args):
 
 def _cmd_trace(args):
     instance, rols = _load_market(args)
-    engine = _resolve_engine(args, instance)
-    tiebreak = _tiebreak(args, instance) if engine == "general" else None
-    try:
-        if engine == "standard":
-            _, trace = run_standard_da(instance, rols)
-        else:
-            _, trace = run_bundle_da(instance, rols, tiebreak, engine)
-    except ValueError as err:
-        raise _Failure(str(err))
+    *_, trace = _run_engine(args, instance, rols, args.engine)
     _emit(bcio.trace_csv(trace))
     return 0
 

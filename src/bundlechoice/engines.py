@@ -263,12 +263,11 @@ def run_standard_da(instance, rols):
 def _application_key(instance, tiebreak):
     """The key of an application (i, b), computed once per application."""
     tree, bundles = instance.tree, instance.bundles
-    simple = detect_simplicity(instance).simple  # then every root qualifies
     shared = {}  # root whose schools share one priority order -> its ranks
     for root in tree.roots:
         s, *others = bundles[root].schools
         order = instance.schools[s].priority
-        if simple or all(instance.schools[o].priority == order for o in others):
+        if all(instance.schools[o].priority == order for o in others):
             shared[root] = instance.ranks(s)
     tb_rank = {i: k for k, i in enumerate(tiebreak)}
     everyone = len(instance.students)
@@ -354,12 +353,10 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
 
 def run_bundle_da(instance, rols, tiebreak=None, engine="auto"):
     """Dispatch to the simple or general engine; `auto` prefers simple."""
+    if engine == "auto":
+        engine = "simple" if detect_simplicity(instance).simple else "general"
     if engine == "simple":
         return run_bundle_da_simple(instance, rols)
     if engine == "general":
         return run_bundle_da_general(instance, rols, tiebreak)
-    if engine != "auto":
-        raise ValueError(f"unknown engine {engine!r}")
-    if detect_simplicity(instance).simple:
-        return run_bundle_da_simple(instance, rols)
-    return run_bundle_da_general(instance, rols, tiebreak)
+    raise ValueError(f"unknown engine {engine!r}")

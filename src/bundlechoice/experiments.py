@@ -47,7 +47,18 @@ def _canon(name):
 
 
 class _ExperimentMarket:
-    """What both experiment configs share: the menu and the bundle tree."""
+    """What both experiment configs share: the treatment lookup, one seat
+    per school, the menu and the bundle tree.  A subclass's `TREATMENTS`
+    maps each treatment to its (bundles, list length)."""
+
+    def __init__(self, treatment):
+        key = _canon(treatment)
+        if key not in self.TREATMENTS:
+            raise ValueError(f"unknown experiment-{self.exp} treatment {treatment!r} "
+                             f"(expected one of {', '.join(self.TREATMENTS)})")
+        self.treatment = key
+        self.bundles, self.rol_length = self.TREATMENTS[key]
+        self.quota = {s: 1 for s in self.schools}
 
     def menu(self):
         return self.schools + tuple(self.bundles)
@@ -69,21 +80,12 @@ class Exp1Config(_ExperimentMarket):
         "strict-bundle": ({"AC": ("A", "C")}, 1),
         "nobundle-two": ({}, 2),
     }
-
-    def __init__(self, treatment):
-        key = _canon(treatment)
-        if key not in self.TREATMENTS:
-            raise ValueError(f"unknown experiment-1 treatment {treatment!r} "
-                             f"(expected one of {', '.join(self.TREATMENTS)})")
-        self.exp = 1
-        self.treatment = key
-        self.schools = ("A", "B", "C")
-        self.quota = {s: 1 for s in self.schools}
-        self.bundles, self.rol_length = self.TREATMENTS[key]
-        self.n_students = 3
-        self.types = ("A", "B")
-        self.type_weights = {"A": HALF, "B": HALF}
-        self.utilities = EXP1_UTILITIES
+    exp = 1
+    schools = ("A", "B", "C")
+    n_students = 3
+    types = ("A", "B")
+    type_weights = {"A": HALF, "B": HALF}
+    utilities = EXP1_UTILITIES
 
     def payoff(self, payoff_type, school):
         return self.utilities[payoff_type][school]
@@ -93,24 +95,14 @@ class Exp2Config(_ExperimentMarket):
     """Six students, schools A..F, common utilities, score priorities."""
 
     TREATMENTS = {
-        "nobundle": {},
-        "indiff-bundle": {"ABC": ("A", "B", "C")},
-        "strict-bundle": {"DEF": ("D", "E", "F")},
+        "nobundle": ({}, 2),
+        "indiff-bundle": ({"ABC": ("A", "B", "C")}, 2),
+        "strict-bundle": ({"DEF": ("D", "E", "F")}, 2),
     }
-
-    def __init__(self, treatment):
-        key = _canon(treatment)
-        if key not in self.TREATMENTS:
-            raise ValueError(f"unknown experiment-2 treatment {treatment!r} "
-                             f"(expected one of {', '.join(self.TREATMENTS)})")
-        self.exp = 2
-        self.treatment = key
-        self.schools = ("A", "B", "C", "D", "E", "F")
-        self.quota = {s: 1 for s in self.schools}
-        self.bundles = self.TREATMENTS[key]
-        self.rol_length = 2
-        self.n_students = 6
-        self.utilities = EXP2_UTILITIES
+    exp = 2
+    schools = ("A", "B", "C", "D", "E", "F")
+    n_students = 6
+    utilities = EXP2_UTILITIES
 
     def payoff(self, _score, school):
         return self.utilities[school]

@@ -43,20 +43,23 @@ def content_digest(obj):
 
 def _load_document(path):
     """Parsed JSON or a ValidationReport with the failure position."""
-    report = ValidationReport([])
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
-        report.add(f"{path}: {err.strerror or err}")
-        return report
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        report.add(
-            f"{path}: line {err.lineno} column {err.colno}: {err.msg}"
-        )
-        return report
+        problem = err.strerror or err
+    except UnicodeDecodeError as err:
+        problem = f"not UTF-8 text: {err.reason} at byte {err.start}"
+    else:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as err:
+            problem = f"line {err.lineno} column {err.colno}: {err.msg}"
+        except ValueError:  # an integer literal past the interpreter's digit limit
+            problem = "a number too long to read"
+        except RecursionError:
+            problem = "arrays or objects nested too deeply to read"
+    return ValidationReport([f"{path}: {problem}"])
 
 
 def _located(report, path):
@@ -176,9 +179,11 @@ def parse_classes(path, instance):
 
 
 def _is_branch_table(value):
+    """Each branch a [probability, ROL] pair, the probability a JSON number."""
     return isinstance(value, dict) and all(
         isinstance(branches, list) and all(
-            isinstance(b, list) and len(b) == 2 and _is_ids(b[1]) for b in branches
+            isinstance(b, list) and len(b) == 2 and type(b[0]) in (int, float)
+            and _is_ids(b[1]) for b in branches
         )
         for branches in value.values()
     )
@@ -272,9 +277,7 @@ def canonical_result(command, inputs, **blocks):
 def trace_csv(trace):
     """One row per engine decision: round, event, student, option."""
     lines = ["round,event,student,option"]
-    for rnd in trace.rounds:
-        lines += [f"{rnd.number},{kind},{student},{option}"
-                  for kind, student, option in rnd.decisions]
+    lines += [",".join(map(str, event)) for event in trace.events()]
     return "\n".join(lines) + "\n"
 
 

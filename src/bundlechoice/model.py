@@ -487,13 +487,28 @@ def _find_simplicity(instance):
     return SimplicityInfo(True)
 
 
-def _check_students(instance, assignment):
-    for i in assignment:
-        if i not in instance._student_index:
-            raise ValueError(f"unknown student {i} in matching")
+class _Matching:
+    """What both matchings share: the instance, and each of its students'
+    assignment (None when unmatched), refusing students it does not have."""
+
+    def __init__(self, instance, assignment):
+        for i in assignment:
+            if i not in instance._student_index:
+                raise ValueError(f"unknown student {i} in matching")
+        self.instance = instance
+        self.assignment = {i: assignment.get(i) for i in instance.students}
+
+    def __getitem__(self, student):
+        return self.assignment[student]
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.assignment == other.assignment
+
+    def as_dict(self):
+        return dict(self.assignment)
 
 
-class BundleMatching:
+class BundleMatching(_Matching):
     """Assignment of students to bundles (or unmatched) with seat accounting.
 
     The occupancy of a bundle counts every student sitting in it or in any
@@ -502,9 +517,7 @@ class BundleMatching:
     """
 
     def __init__(self, instance, assignment):
-        self.instance = instance
-        _check_students(instance, assignment)
-        self.assignment = {i: assignment.get(i) for i in instance.students}
+        super().__init__(instance, assignment)
         self._occupancy = dict.fromkeys(instance.bundle_order, 0)
         for i, bid in self.assignment.items():
             if bid is None:
@@ -519,29 +532,16 @@ class BundleMatching:
             if self._occupancy[bid] > instance.bundle_quota(bid):
                 raise ValueError(f"bundle {bid} is over capacity")
 
-    def __getitem__(self, student):
-        return self.assignment[student]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BundleMatching) and self.assignment == other.assignment
-        )
-
     def occupancy(self, bundle_id):
         """Students who must occupy seats inside this bundle's schools."""
         return self._occupancy[bundle_id]
 
-    def as_dict(self):
-        return dict(self.assignment)
 
-
-class StandardMatching:
+class StandardMatching(_Matching):
     """Assignment of students to individual schools (or unmatched)."""
 
     def __init__(self, instance, assignment):
-        self.instance = instance
-        _check_students(instance, assignment)
-        self.assignment = {i: assignment.get(i) for i in instance.students}
+        super().__init__(instance, assignment)
         self._occupants = {sid: [] for sid in instance.schools}
         for i, sid in self.assignment.items():
             if sid is None:
@@ -553,26 +553,12 @@ class StandardMatching:
             if self.seated(sid) > school.quota:
                 raise ValueError(f"school {sid} is over capacity")
 
-    def __getitem__(self, student):
-        return self.assignment[student]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StandardMatching) and self.assignment == other.assignment
-        )
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.assignment.items(), key=lambda kv: kv[0])))
-
     def seated(self, school_id):
         return len(self._occupants.get(school_id, ()))
 
     def students_at(self, school_id):
         """Occupants of a school in canonical student order."""
         return list(self._occupants.get(school_id, ()))
-
-    def as_dict(self):
-        return dict(self.assignment)
 
 
 def implements(mu, nu):

@@ -192,18 +192,18 @@ def check_instance(instance, rols):
     failures = []
     nu, _ = run_bundle_da(instance, rols)
 
-    verdict = check_bundle_stability(nu, rols, instance)
+    verdict = check_bundle_stability(nu, rols)
     if not verdict.stable:
         failures.append(("engine-unstable", verdict.violations))
 
-    ok, witness = oracle_pareto_undominated_size_maximal(nu, rols, instance)
+    ok, witness = oracle_pareto_undominated_size_maximal(nu, rols)
     if not ok:
         failures.append(("engine-dominated", witness))
 
     matchings, truncated = enumerate_implementations(nu)
     assert not truncated
     for mu in matchings:
-        seat_verdict = check_standard_stability(mu, rols, instance)
+        seat_verdict = check_standard_stability(mu, rols)
         if not seat_verdict.stable:
             failures.append(("implementation-unstable", mu.as_dict(),
                              seat_verdict.violations))
@@ -247,7 +247,7 @@ def exhaustive_stable_set(instance, rols, cap=1500):
                 nu = BundleMatching(instance, dict(assignment))
             except ValueError:
                 return
-            if check_bundle_stability(nu, rols, instance).stable:
+            if check_bundle_stability(nu, rols).stable:
                 stable.append(dict(assignment))
             return
         i = students[idx]

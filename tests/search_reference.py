@@ -116,7 +116,7 @@ def find_stable_pareto_improvement(
         if all(assignment[i] == nu[i] for i in instance.students):
             return False
         candidate = type(nu)(instance, assignment)
-        return check_bundle_stability(candidate, rols, instance).stable
+        return check_bundle_stability(candidate, rols).stable
 
     found = search_assignments(instance, options, accept, nodes)
     if found is None:

@@ -66,7 +66,7 @@ def swap_nu_prime(swap_market):
 
 
 def test_five_student_matching_is_stable(swap_nu, swap_rols, swap_market):
-    verdict = check_bundle_stability(swap_nu, swap_rols, swap_market)
+    verdict = check_bundle_stability(swap_nu, swap_rols)
     assert verdict.stable
     assert bool(verdict) is True
     assert verdict.violations == ()
@@ -78,7 +78,7 @@ def test_swapped_matching_fails_with_one_oversized_envy(
     """Swapping i3 and i5 up creates envy through the two-school bundle:
     i4 outranks i3 at both of its schools and every bundle between i4's
     seat and the big one is under quota."""
-    verdict = check_bundle_stability(swap_nu_prime, swap_rols, swap_market)
+    verdict = check_bundle_stability(swap_nu_prime, swap_rols)
     assert not verdict.stable
     assert verdict.violations == (("envy", "i4", "i3", "s2", 3),)
     assert tuple(EnvyPairReport(verdict)) == (("i4", "i3", 3),)
@@ -87,15 +87,13 @@ def test_swapped_matching_fails_with_one_oversized_envy(
 def test_no_stable_improvement_over_five_student_matching(
     swap_nu, swap_rols, swap_market
 ):
-    assert find_stable_pareto_improvement(swap_nu, swap_rols, swap_market) is None
+    assert find_stable_pareto_improvement(swap_nu, swap_rols) is None
 
 
 def test_five_student_matching_is_size_maximal(swap_nu, swap_rols, swap_market):
-    ok, witness = oracle_size_maximal(swap_nu, swap_rols, swap_market)
+    ok, witness = oracle_size_maximal(swap_nu, swap_rols)
     assert ok and witness is None
-    ok, witness = oracle_pareto_undominated_size_maximal(
-        swap_nu, swap_rols, swap_market
-    )
+    ok, witness = oracle_pareto_undominated_size_maximal(swap_nu, swap_rols)
     assert ok and witness is None
 
 
@@ -131,31 +129,31 @@ def test_audits_name_an_unknown_listed_bundle(check, swap_nu, swap_rols):
 def test_size_and_stability_can_disagree(tiny_market, tiny_rols):
     """Stable outcome seats one student; an unstable one seats both."""
     nu, _ = run_bundle_da_simple(tiny_market, tiny_rols)
-    assert check_bundle_stability(nu, tiny_rols, tiny_market).stable
+    assert check_bundle_stability(nu, tiny_rols).stable
 
     both = BundleMatching(tiny_market, {"i": "sp", "ip": "s"})
-    verdict = check_bundle_stability(both, tiny_rols, tiny_market)
+    verdict = check_bundle_stability(both, tiny_rols)
     assert verdict.violations == (("envy", "i", "ip", "s", 1),)
 
-    ok, witness = oracle_size_maximal(nu, tiny_rols, tiny_market)
+    ok, witness = oracle_size_maximal(nu, tiny_rols)
     assert not ok
     assert witness == {"i": "sp", "ip": "s"}
 
     # but nothing larger keeps student i weakly as happy
-    ok, witness = oracle_pareto_undominated_size_maximal(nu, tiny_rols, tiny_market)
+    ok, witness = oracle_pareto_undominated_size_maximal(nu, tiny_rols)
     assert ok and witness is None
 
 
 def test_everyone_unmatched_is_not_size_maximal(walkthrough, walkthrough_rols):
     empty = BundleMatching(walkthrough, {})
-    ok, witness = oracle_size_maximal(empty, walkthrough_rols, walkthrough)
+    ok, witness = oracle_size_maximal(empty, walkthrough_rols)
     assert not ok and witness
 
 
 def test_oracle_refuses_oversized_searches(walkthrough, walkthrough_rols):
     empty = BundleMatching(walkthrough, {})
     with pytest.raises(OracleBoundExceeded):
-        oracle_size_maximal(empty, walkthrough_rols, walkthrough, bound=1)
+        oracle_size_maximal(empty, walkthrough_rols, bound=1)
 
 
 def test_waste_exemption_through_full_parent(walkthrough, walkthrough_rols):
@@ -166,13 +164,13 @@ def test_waste_exemption_through_full_parent(walkthrough, walkthrough_rols):
     assert nu["i4"] is None and "b12" in walkthrough_rols["i4"]
     assert nu.occupancy("b12") < walkthrough.bundle_quota("b12")
     assert nu.occupancy("b1234") == walkthrough.bundle_quota("b1234")
-    verdict = check_bundle_stability(nu, walkthrough_rols, walkthrough)
+    verdict = check_bundle_stability(nu, walkthrough_rols)
     assert verdict.stable
 
 
 def test_engine_outcomes_pass_their_own_audit(nested, nested_rols):
     nu, _ = run_bundle_da_general(nested, nested_rols)
-    assert check_bundle_stability(nu, nested_rols, nested).stable
+    assert check_bundle_stability(nu, nested_rols).stable
 
 
 def test_standard_stability_on_seat_assignments(tiny_market, tiny_rols):
@@ -180,10 +178,10 @@ def test_standard_stability_on_seat_assignments(tiny_market, tiny_rols):
 
     nu, _ = run_standard_da(tiny_market, tiny_rols)
     mu = StandardMatching(tiny_market, nu.as_dict())  # trivial ids are school ids
-    assert check_standard_stability(mu, tiny_rols, tiny_market).stable
+    assert check_standard_stability(mu, tiny_rols).stable
 
     swapped = StandardMatching(tiny_market, {"i": "sp", "ip": "s"})
-    verdict = check_standard_stability(swapped, tiny_rols, tiny_market)
+    verdict = check_standard_stability(swapped, tiny_rols)
     assert ("envy", "i", "ip", "s") in verdict.violations
 
 
@@ -247,11 +245,11 @@ def test_seat_audit_matches_the_full_scan_on_random_seatings():
                 if seats[i] is not None:
                     left[seats[i]] -= 1
             mu = StandardMatching(instance, seats)
-            verdict = check_standard_stability(mu, rols, instance)
+            verdict = check_standard_stability(mu, rols)
             expected = _seat_violations_by_full_scan(mu, rols, instance)
             assert verdict.violations == expected
             unstable += not verdict.stable
-            verdict = check_standard_stability(mu, unvalidated, instance)
+            verdict = check_standard_stability(mu, unvalidated)
             expected = _seat_violations_by_full_scan(mu, unvalidated, instance)
             assert verdict.violations == expected
             for i in instance.students:
@@ -506,6 +504,8 @@ def test_supbundle_check_validates_inputs(contested_market):
         property_supbundle_monotone(contested_market, rols, "i1", "s9", "B")
     with pytest.raises(ValueError, match="unknown bundle Z"):
         property_supbundle_monotone(contested_market, rols, "i1", "s1", "Z")
+    with pytest.raises(ValueError, match="^s2 does not strictly contain s1$"):
+        property_supbundle_monotone(contested_market, rols, "i1", "s1", "s2")
     with pytest.raises(ValueError, match="unknown student i9"):
         property_truthtelling(contested_market, rols, "i9")
 

@@ -151,6 +151,8 @@ def test_general_engine_rejects_bad_tiebreak(contested_market):
     rols = load_json("three_student_overdemand_baseline_rols.json")["rols"]
     with pytest.raises(ValueError, match="permutation"):
         run_bundle_da_general(contested_market, rols, tiebreak=["i3", "i1"])
+    with pytest.raises(ValueError, match="^unknown engine 'bogus'$"):
+        run_bundle_da(contested_market, rols, engine="bogus")
 
 
 def test_standard_da_two_student_market(tiny_market, tiny_rols):
@@ -257,7 +259,7 @@ def test_tiebreak_cannot_split_the_engines_on_a_simple_system():
     instance = build(DIVERGENCE_RAW)
     nu_simple, _ = run_bundle_da_simple(instance, DIVERGENCE_ROLS)
     assert nu_simple.as_dict() == {"m": "W", "i": "s1", "j": None}
-    assert check_bundle_stability(nu_simple, DIVERGENCE_ROLS, instance).stable
+    assert check_bundle_stability(nu_simple, DIVERGENCE_ROLS).stable
 
     for tiebreak in (None, ["m", "j", "i"]):
         general, _ = run_bundle_da_general(instance, DIVERGENCE_ROLS, tiebreak)
@@ -299,7 +301,7 @@ def test_general_engine_is_stable_on_the_overdemand_reproducer():
     instance = build(REPRODUCER_RAW)
     nu, _ = run_bundle_da_general(instance, REPRODUCER_ROLS,
                                   tiebreak=["i1", "i2", "i3", "i4", "i5"])
-    assert check_bundle_stability(nu, REPRODUCER_ROLS, instance).stable
+    assert check_bundle_stability(nu, REPRODUCER_ROLS).stable
 
 
 def test_general_engine_is_stable_on_the_spanning_battery():

@@ -247,6 +247,8 @@ def test_monte_carlo_is_reproducible_and_consistent():
     assert first.rounds == 500
     assert first.match_rate == pytest.approx(2 / 3, abs=0.05)
     assert first.avg_payoff == pytest.approx(215 / 3, abs=2.0)
+    with pytest.raises(ValueError, match="rounds must be at least 1"):
+        simulate_rounds(config, profile, rounds=0, seed=99)
 
 
 # Components and round counts of seeded Monte Carlo runs, recorded once and
@@ -349,7 +351,7 @@ def test_simulated_rounds_replay_as_stable_matchings():
         instance = round_instance(config, record["priority"])
         rols = experiment_rols_for_instance(record["rols"])
         mu = experiment_matching_for_instance(instance, record["assignment"])
-        assert check_standard_stability(mu, rols, instance).stable
+        assert check_standard_stability(mu, rols).stable
 
 
 WORKED_ROLS = [
@@ -431,7 +433,7 @@ def test_exp2_rounds_replay_as_stable_matchings():
         instance = round_instance(config, record["priority"])
         rols = experiment_rols_for_instance(record["rols"])
         mu = experiment_matching_for_instance(instance, record["assignment"])
-        assert check_standard_stability(mu, rols, instance).stable
+        assert check_standard_stability(mu, rols).stable
 
 
 def test_score_sampler_is_deterministic_and_in_range():
@@ -499,6 +501,9 @@ def test_profile_validation_rejects_malformed_strategies():
     per_type = StrategyProfile("per-type", {"A": [(1, ("A",))]})
     with pytest.raises(ValueError, match="not keyed by score rank"):
         per_type.rol_by_rank(0)
+    by_rank = StrategyProfile("by-rank", [("A",)] * 6)
+    with pytest.raises(ValueError, match="not keyed by payoff type"):
+        by_rank.branches("A")
 
 
 def test_treatment_names_are_canonicalized():
@@ -506,6 +511,8 @@ def test_treatment_names_are_canonicalized():
     assert Exp2Config(" Strict Bundle ").treatment == "strict-bundle"
     with pytest.raises(ValueError, match="unknown experiment-1 treatment"):
         Exp1Config("bundle-everything")
+    with pytest.raises(ValueError, match="^unknown experiment-2 treatment 'bogus' "):
+        Exp2Config("bogus")
 
 
 def test_no_closed_form_equilibrium_for_score_experiment():

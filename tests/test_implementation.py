@@ -15,6 +15,7 @@ from bundlechoice import (
     content_digest,
     enumerate_implementations,
     implement,
+    StandardMatching,
     implements,
     run_bundle_da,
     run_bundle_da_general,
@@ -50,6 +51,10 @@ def test_deterministic_seats_on_walkthrough(nu_41):
     mu = implement(nu_41, DET)
     assert mu.as_dict() == MU_41_DET
     assert implements(mu, nu_41)
+    # i4 seated although nu_41 leaves her out; i1 seated outside her bundle
+    for seats in ({**MU_41_DET, "i4": "s5", "i5": None},
+                  {**MU_41_DET, "i1": "s5", "i5": "s1"}):
+        assert not implements(StandardMatching(nu_41.instance, seats), nu_41)
 
 
 def test_deterministic_seats_on_nested_walkthrough(nu_d):

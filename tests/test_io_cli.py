@@ -309,6 +309,11 @@ def test_cli_general_engine_needs_a_tiebreak(capsys):
     assert code == 2 and out == ""
     assert "--tiebreak is required on non-simple instances" in err
 
+    code, out, err = cli(capsys, "run-bundle-da", path("nested_bundle_market.json"),
+                         path("nested_bundle_market_rols.json"), "--engine", "simple")
+    assert (code, out) == (1, "")
+    assert err.startswith("bundle system is not simple (")
+
 
 def test_cli_run_bundle_da_nested_with_tiebreak(capsys):
     code, out, err = cli(
@@ -336,13 +341,15 @@ def test_cli_tiebreak_must_cover_students(capsys):
 
 
 def test_cli_run_da_rejects_bundle_entries(capsys):
-    code, _, err = cli(capsys, "run-da", path("five_student_market.json"),
-                       path("five_student_market_rols.json"))
-    assert code == 1
-    assert "standard DA accepts one-school entries only" in err
+    rols = path("five_student_market_rols.json")
+    for argv in (("run-da",), ("trace", "--engine", "standard")):
+        code, out, err = cli(capsys, *argv, path("five_student_market.json"), rols)
+        assert (code, out) == (1, "")
+        assert err == (f"{rols}: student i2 lists bundle B; standard DA accepts "
+                       "one-school entries only\n")
 
 
-def test_cli_implement_policies(capsys):
+def test_cli_implement_policies(capsys, tmp_path):
     code, out, err = cli(capsys, "implement", path("five_student_market.json"),
                          path("five_student_matching.json"))
     assert code == 0 and err == ""
@@ -350,6 +357,18 @@ def test_cli_implement_policies(capsys):
     assert doc["standard_matching"] == {
         "i1": "s1", "i2": "s2", "i3": "s3", "i4": "s4", "i5": "s1"
     }
+
+    code, spelled_out, err = cli(capsys, "implement", path("five_student_market.json"),
+                                 path("five_student_matching.json"),
+                                 "--implement", "deterministic")
+    assert (code, spelled_out, err) == (0, out, "")
+
+    seats = tmp_path / "seats.json"
+    seats.write_text(json.dumps({"seats": doc["standard_matching"]}))
+    code, out, err = cli(capsys, "implement", path("five_student_market.json"),
+                         str(seats))
+    assert (code, out) == (1, "")
+    assert err == f"{seats}: implement needs a bundle-level matching document\n"
 
     code, _, err = cli(capsys, "implement", path("five_student_market.json"),
                        path("five_student_matching.json"), "--implement", "random")
@@ -492,7 +511,7 @@ def test_cli_experiment_two_profile_file(capsys):
     assert doc["metrics"]["envy_share"] == pytest.approx(1 / 15)
 
 
-def test_cli_trace_stream(capsys):
+def test_cli_trace_stream(capsys, tmp_path):
     code, out, err = cli(capsys, "trace", path("two_hierarchy_market.json"),
                          path("two_hierarchy_market_rols.json"))
     assert code == 0 and err == ""
@@ -500,6 +519,17 @@ def test_cli_trace_stream(capsys):
     assert lines[0] == "round,event,student,option"
     assert len(lines) == 33
     assert lines[-1] == "4,reject,i4,s5"
+
+    rols = tmp_path / "rols.json"
+    rols.write_text(json.dumps({"rols": {
+        "i1": ["s1", "s4"], "i2": ["s2", "s4"], "i3": ["s3"], "i4": ["s2", "s4"],
+        "i5": ["s3", "s1"]}}))
+    code, out, err = cli(capsys, "trace", path("five_student_market.json"),
+                         str(rols), "--engine", "standard")
+    assert code == 0 and err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "round,event,student,option" and len(lines) == 11
+    assert lines[2] == "1,reject,i4,s2" and lines[-1] == "2,hold,i4,s4"
 
 
 def test_cli_reports_malformed_input_files(capsys, tmp_path):
@@ -509,6 +539,36 @@ def test_cli_reports_malformed_input_files(capsys, tmp_path):
                        path("two_hierarchy_market.json"), str(empty))
     assert code == 1
     assert "line 1 column 1: Expecting value" in err
+
+
+UNREADABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "nested": b"[" * 100000 + b"]" * 100000,
+    "long-number": b"[" + b"1" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("payload", UNREADABLE.values(), ids=UNREADABLE)
+@pytest.mark.parametrize("document", [
+    "instance", "rols", "matching", "profile", "stage-prefs", "classes"])
+def test_cli_reports_unreadable_documents(capsys, tmp_path, document, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    market = path("five_student_market.json")
+    rols = path("five_student_market_rols.json")
+    argv = {
+        "instance": ("validate", bad),
+        "rols": ("run-bundle-da", market, bad),
+        "matching": ("check-stability", market, rols, bad),
+        "profile": ("simulate-experiment", "--exp", "1", "--treatment",
+                    "nobundle-one", "--profile", bad),
+        "stage-prefs": ("run-bundle-da", market, rols, "--implement", "prefs",
+                        "--stage-prefs", bad),
+        "classes": ("audit-rol", market, rols, "--classes", bad),
+    }[document]
+    code, out, err = cli(capsys, *map(str, argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{bad}: ") and "Traceback" not in err
 
 
 def test_cli_names_missing_and_ill_typed_instance_fields(capsys, tmp_path):
@@ -554,7 +614,7 @@ def test_cli_rejects_matchings_naming_unknown_students(capsys, tmp_path,
                          path("five_student_market.json"),
                          path("five_student_market_rols.json"), str(doc))
     assert code == 1 and out == ""
-    assert "unknown student zz in matching" in err
+    assert err == f"{doc}: unknown student zz in matching\n"
 
 
 def test_cli_oracles_reject_over_capacity_matchings(capsys, tmp_path):
@@ -565,7 +625,7 @@ def test_cli_oracles_reject_over_capacity_matchings(capsys, tmp_path):
     for argv in (("oracle", "size-max"), ("oracle", "pusm"), ("improve",)):
         code, out, err = cli(capsys, *argv, market, rols, str(doc))
         assert code == 1 and out == ""
-        assert err == "bundle s2 is over capacity\n"
+        assert err == f"{doc}: bundle s2 is over capacity\n"
 
 
 @pytest.mark.parametrize("document, message", [
@@ -616,13 +676,19 @@ BY_RANK = [["D", "A"], ["D", "A"], ["A", "E"], ["D", "E"], ["A", "F"], ["E", "F"
      "{doc}: probabilities for 'A' must not be negative"),
     (["--exp", "1", "--treatment", "nobundle-one"],
      {"kind": "per-type", "strategies": {"A": [["half", ["A"]]], "B": [[1, ["B"]]]}},
-     1, "{doc}: Invalid literal for Fraction: 'half'"),
+     1, "{doc}: strategies: expected an object mapping each payoff type to "
+     "[probability, ROL] pairs"),
+    (["--exp", "1", "--treatment", "strict-bundle", "--exact"],
+     {"kind": "per-type",
+      "strategies": {"A": [["0.5", ["A"]], ["1/2", ["AC"]]], "B": [[1, ["B"]]]}},
+     1, "{doc}: strategies: expected an object mapping each payoff type to "
+     "[probability, ROL] pairs"),
     (["--exp", "2", "--treatment", "nobundle"],
      {"kind": "per-type", "strategies": {"A": [[1, ["A"]]]}}, 1,
      "{doc}: experiment 2 does not take a per-type profile"),
 ], ids=["treatment", "rounds", "seed", "missing-rols", "strategies-shape",
         "by-rank-length", "off-menu", "missing-type", "probability-range",
-        "probability-literal", "kind-mismatch"])
+        "probability-literal", "probability-string", "kind-mismatch"])
 def test_cli_simulation_rejects_bad_usage_and_profiles(capsys, tmp_path, argv,
                                                        document, code, message):
     doc = tmp_path / "profile.json"

@@ -17,6 +17,7 @@ from bundlechoice import (
     BundleMatching,
     Exp1Config,
     Exp2Config,
+    StandardMatching,
     ValidationReport,
     detect_simplicity,
     run_bundle_da_simple,
@@ -37,6 +38,8 @@ def test_seven_school_system_valid_but_not_simple():
     info = detect_simplicity(instance)
     assert not info.simple
     assert "ball" in info.reason
+    with pytest.raises(ValueError, match="^bundle system is not simple"):
+        run_bundle_da_simple(instance, {})
 
 
 def test_seven_school_system_without_spanning_bundle_is_simple(walkthrough):
@@ -289,6 +292,12 @@ def test_bundle_matching_rejects_overfill_and_ineligibility(contested_market):
         )
     with pytest.raises(ValueError, match="not eligible"):
         BundleMatching(contested_market, {"i2": "B"})
+    with pytest.raises(ValueError, match="^student i1 assigned to unknown bundle Z$"):
+        BundleMatching(contested_market, {"i1": "Z"})
+    with pytest.raises(ValueError, match="^student i1 assigned to unknown school Z$"):
+        StandardMatching(contested_market, {"i1": "Z"})
+    with pytest.raises(ValueError, match="^school s1 is over capacity$"):
+        StandardMatching(contested_market, {"i1": "s1", "i2": "s1"})
 
 
 def test_bundle_quota_is_sum_of_member_quotas(nested):

@@ -54,7 +54,7 @@ def test_engines_agree_on_the_formerly_divergent_markets(markets):
         via_common, _ = run_bundle_da_simple(instance, rols)
         via_tiebreak, _ = run_bundle_da_general(instance, rols)
         assert via_common == via_tiebreak
-        assert check_bundle_stability(via_common, rols, instance).stable
+        assert check_bundle_stability(via_common, rols).stable
 
 
 def test_stable_sets_match_the_brute_force_checker(markets):
