@@ -3,7 +3,7 @@
 Students submit short rank-order lists whose entries may be bundles —
 groups of schools requested as one option — and a modified deferred
 acceptance assigns bundles stably; a second stage then seats bundle admits
-at specific schools.  The package also ships stability checkers, exhaustive
+at specific schools.  The package also ships stability checkers,
 size-maximality oracles, and replications of two lab experiments.
 """
 

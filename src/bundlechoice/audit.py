@@ -26,18 +26,29 @@ better schools are read straight off her ROL, and each full school's bar is
 the rank it gives its worst occupant; its occupants are compared one by one
 only with a student who outranks that one.
 
-The oracles answer size-maximality questions by exhaustive backtracking over
-individually rational assignments, with an explicit refusal above a
-candidate-count bound — never a silent approximation.  A size-maximality
-witness must place a student the matching leaves out, so the search stops
-below any node past the last such student where none of them is placed.
-Every search frees its state by reference counting when it returns: its
-recursion is a module-level function, not a closure that refers to itself.
+The oracles decide by augmenting path.  Seatings that keep every nested
+quota are the flows of a network source -> student -> each bundle she may
+take -> up the bundle's chain (each bundle an edge of capacity its quota)
+-> sink, so a seating can take one more student, every seated one keeping
+one of her options, iff its residual network holds a path from that student
+to the sink (Ford-Fulkerson 1956; Edmonds-Fulkerson 1965).  The size
+oracles ask this of the students the matching leaves out, the improvement
+oracle of each student with an entry above her seat, unseated and held to
+those entries.  When no path exists the verdict is reached without a search.  Only a witness is searched
+for, by exhaustive backtracking over individually rational assignments, so
+that it is the first in canonical scan order; the candidate-count bound
+guards that search alone, and a verdict that needs a witness above it is
+refused, never approximated.  A size-maximality witness must place a student
+the matching leaves out, so the search stops below any node past the last
+such student where none of them is placed.  Every search frees its state by
+reference counting when it returns: its recursion is a module-level
+function, not a closure that refers to itself.
 
 The reporting-property checks compare a student's seat under a changed ROL
 with her seat under the submitted ROLs.  Callers check one market student by
 student, so that truthful outcome is memoised for the last market seen: the
-instance by identity, the ROLs by value.
+instance by identity, the ROLs by value.  The engine never reads an entry
+below a student's final seat, so a change there is not run.
 """
 
 from functools import lru_cache
@@ -319,22 +330,86 @@ def _check_bound(options, bound):
             )
 
 
+def _move(chains, load, at, student, bundle, step):
+    """Seat the student at the bundle (step 1), or take that seat away (step
+    -1), in the seat counts `load` of every bundle and the lists `at` of the
+    students each bundle holds."""
+    for a in chains[bundle]:
+        load[a] = load.get(a, 0) + step
+    if step > 0:
+        at.setdefault(bundle, []).append(student)
+    else:
+        at[bundle].remove(student)
+
+
+def _occupancy(tree, seated):
+    """(`load`, `at`) of `_move` for the seating `seated`."""
+    load, at = {}, {}
+    for i, b in seated.items():
+        _move(tree.chain, load, at, i, b, 1)
+    return load, at
+
+
+def _augments(tree, load, at, options, tries):
+    """True iff one more student can take one of the bundles `tries` while
+    every student seated in `at` keeps one of her `options`.
+
+    `load` and `at` describe a seating within every quota (`_occupancy`);
+    UNMATCHED among the options is no seat.  In the residual network of the
+    module docstring, a path from a bundle climbs its chain to the sink
+    unless a bundle on it is full; from the smallest full one it reaches
+    every student seated inside it, and through her each of her options.
+    So the search visits each full bundle, and each seated student's
+    options, at most once.
+    """
+    chains, quota, inside = tree.chain, tree.quota, tree.descendants
+    tries = list(tries)
+    reached, emptied = set(), set()
+    while tries:
+        b = tries.pop()
+        if b is UNMATCHED:
+            continue
+        for full in chains[b]:
+            if load.get(full) == quota[full]:
+                break
+        else:
+            return True  # nothing on b's chain is full: the sink is reached
+        if full not in reached:
+            reached.add(full)
+            for d in inside[full]:
+                if d in at and d not in emptied:
+                    emptied.add(d)
+                    for j in at[d]:
+                        tries += options[j]
+    return False
+
+
 def _larger_assignment(nu, rols, bound, options_if_matched):
     """(True, None), or (False, the first IR assignment in canonical scan
     order that matches a student nu leaves out).  Every student nu matches
     keeps one of `options_if_matched(rol, bundle)`; the others may stay out.
+    The verdict is "holds" without a bound check or a search when no student
+    left out has an augmenting path (`_augments`).
     """
     instance = nu.instance
     rol = _read_rols(instance, rols)
-    matched = {i for i in instance.students if nu[i] in rol[i]}
+    seated = {i: nu[i] for i in instance.students if nu[i] in rol[i]}
+    left_out = {i: entries for i, entries in rol.items()
+                if entries and i not in seated}
+    if not left_out:
+        return True, None
     options = {
-        i: options_if_matched(rol[i], nu[i]) if i in matched
-        else [UNMATCHED, *rol[i]]
-        for i in instance.students
+        i: options_if_matched(entries, seated[i]) if i in seated
+        else [UNMATCHED, *entries]
+        for i, entries in rol.items()
     }
+    load, at = _occupancy(instance.tree, seated)
+    if not _augments(instance.tree, load, at, options,
+                     [b for entries in left_out.values() for b in entries]):
+        return True, None
     _check_bound(options, bound)
-    unmatched = set(instance.students) - matched
-    witness = _search_assignments(instance, options, needed=unmatched)
+    witness = _search_assignments(instance, options,
+                                  needed=rol.keys() - seated.keys())
     return (witness is None), witness
 
 
@@ -360,25 +435,51 @@ def oracle_pareto_undominated_size_maximal(nu, rols, bound=DEFAULT_ORACLE_BOUND)
     )
 
 
+def _anyone_moves_up(tree, seated, options, better):
+    """True iff some student k can take one of her entries `better[k]`
+    while every other seated student keeps one of her `options` (`_augments`
+    with k's own seat taken away)."""
+    load, at = _occupancy(tree, seated)
+    for k, tries in better.items():
+        seat = seated.get(k)
+        if seat is not None:
+            _move(tree.chain, load, at, k, seat, -1)
+        found = _augments(tree, load, at, options, tries)
+        if seat is not None:
+            _move(tree.chain, load, at, k, seat, 1)
+        if found:
+            return True
+    return False
+
+
 def find_stable_pareto_improvement(nu, rols, bound=DEFAULT_ORACLE_BOUND):
     """Search for a stable assignment that Pareto-improves on nu.
 
     Every student must end weakly better by her own ROL (unmatched counts
     as worst) and at least one strictly better; the result must itself pass
     check_bundle_stability.  Returns the first such assignment in scan
-    order, or None.  Exhaustive search; refuses above the candidate bound.
+    order, or None.  When nobody holds a seat her ROL does not list, an
+    assignment other than nu moves some student k to an entry she ranks
+    above her own, so None is returned without a bound check or a search
+    when no such k has an augmenting path (`_anyone_moves_up`, every other
+    seated student kept on her weakly better entries).  Otherwise the
+    search is exhaustive and refuses above the candidate bound.
     """
     instance = nu.instance
     rol = _read_rols(instance, rols)
-    options = {}
+    options, better, seated, non_ir = {}, {}, {}, False
     for i in instance.students:
         current = _rol_rank(rol[i], nu[i])
-        weakly_better = list(rol[i][:current])
-        if nu[i] is not UNMATCHED and nu[i] in rol[i]:
-            weakly_better.append(nu[i])
-        else:
-            weakly_better.append(UNMATCHED)
-        options[i] = weakly_better
+        if current:
+            better[i] = rol[i][:current]
+        if nu[i] in rol[i]:
+            seated[i] = nu[i]
+        elif nu[i] is not UNMATCHED:
+            non_ir = True
+        options[i] = [*rol[i][:current], seated.get(i, UNMATCHED)]
+    if not non_ir and not _anyone_moves_up(instance.tree, seated, options,
+                                           better):
+        return None
     _check_bound(options, bound)
 
     def accept(assignment):
@@ -452,9 +553,10 @@ def property_supbundle_monotone(instance, rols, student, b, b_sup):
 
     Expected movement: an assignment above b is untouched; an assignment
     at b moves to b_sup; an assignment below b (or none) moves to b_sup or
-    stays.  The sup-bundle must be one the student may list.  Returns None
-    on pass, or ("supbundle", student, clause, old assignment, new
-    assignment).
+    stays.  The first clause holds without a run, since the engine never
+    reads an entry below the student's final seat.  The sup-bundle must be
+    one the student may list.  Returns None on pass, or ("supbundle",
+    student, clause, old assignment, new assignment).
     """
     rol = _listed(instance, rols, student)
     for bid in (b, b_sup):
@@ -469,16 +571,16 @@ def property_supbundle_monotone(instance, rols, student, b, b_sup):
     if not instance.bundles[b].schools < instance.bundles[b_sup].schools:
         raise ValueError(f"{b_sup} does not strictly contain {b}")
 
+    old = _truthful_seat(instance, rols, student)
+    slot = rol.index(b)
+    if _rol_rank(rol, old) < slot:
+        return None
     trial = dict(rols)
     trial[student] = [b_sup if bid == b else bid for bid in rol]
     outcome, _ = run_bundle_da(instance, trial)
 
-    old, new = _truthful_seat(instance, rols, student), outcome[student]
-    slot = rol.index(b)
-    if _rol_rank(rol, old) < slot:
-        if new != old:
-            return ("supbundle", student, 1, old, new)
-    elif old == b:
+    new = outcome[student]
+    if old == b:
         if new != b_sup:
             return ("supbundle", student, 2, old, new)
     else:

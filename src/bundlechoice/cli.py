@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on validation failures, unstable verdicts under
 --assert-stable, engine errors, or oracle refusals, and 2 on usage errors
 (including a missing --tiebreak when the general engine must run on a
-non-simple instance).  Every result document is canonically serialized, so
+non-simple instance, and a --tiebreak that does not list every student once,
+whatever the engine).  Every result document is canonically serialized, so
 repeated runs with identical inputs and seeds are byte-identical.
 """
 
@@ -66,14 +67,16 @@ def _matching(args, instance, needs=None):
         raise _Failure(f"{args.matching}: {err}")
 
 
-def _tiebreak(args, instance):
-    """Resolve the student order for the general engine, enforcing the flag."""
+def _tiebreak(args, instance, engine):
+    """The student order the general engine reads, or None for any other
+    engine.  A given --tiebreak is checked whatever the engine; the general
+    engine needs one on a non-simple instance."""
     if getattr(args, "tiebreak", None):
         order = [i.strip() for i in args.tiebreak.split(",") if i.strip()]
         if sorted(order) != sorted(instance.students):
             raise _Failure("--tiebreak must list every student exactly once", 2)
-        return order
-    if not detect_simplicity(instance).simple:
+        return order if engine == "general" else None
+    if engine == "general" and not detect_simplicity(instance).simple:
         raise _Failure(
             "--tiebreak is required on non-simple instances", 2
         )
@@ -86,7 +89,7 @@ def _run_engine(args, instance, rols, engine):
     DA refuses a multi-school ROL entry, named with the ROL document."""
     if engine == "auto":
         engine = "simple" if detect_simplicity(instance).simple else "general"
-    tiebreak = _tiebreak(args, instance) if engine == "general" else None
+    tiebreak = _tiebreak(args, instance, engine)
     try:
         if engine == "standard":
             matching, trace = run_standard_da(instance, rols)

@@ -267,7 +267,8 @@ def _application_key(instance, tiebreak):
     for root in tree.roots:
         s, *others = bundles[root].schools
         order = instance.schools[s].priority
-        if all(instance.schools[o].priority == order for o in others):
+        if all(p is order or p == order
+               for p in (instance.schools[o].priority for o in others)):
             shared[root] = instance.ranks(s)
     tb_rank = {i: k for k, i in enumerate(tiebreak)}
     everyone = len(instance.students)

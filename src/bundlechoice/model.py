@@ -479,8 +479,8 @@ def _find_simplicity(instance):
         bundle = instance.bundles[bid]
         if bundle.trivial:
             continue
-        orders = {instance.schools[s].priority for s in bundle.schools}
-        if len(orders) > 1:
+        first, *others = (instance.schools[s].priority for s in bundle.schools)
+        if not all(p is first or p == first for p in others):
             return SimplicityInfo(
                 False, reason=f"schools in bundle {bid} use different priority orders"
             )

@@ -625,6 +625,27 @@ def test_property_checks_run_the_truthful_outcome_once(walkthrough, engine_runs)
     assert [r for _, r in engine_runs].count(submitted) == 1
 
 
+def test_supbundle_clause_one_makes_no_trial_run(engine_runs):
+    """A student whose truthful seat ranks above the swapped entry is judged
+    without a trial run, since the engine never reads that entry; every
+    other case makes exactly one.  Every verdict equals the rerun
+    reference's."""
+    rng = np.random.default_rng(2)
+    markets = [random_simple_market(rng) for _ in range(200)]
+    markets += [random_spanning_market(rng) for _ in range(600)]
+    runs = {"clause 1": 0, "other": 0}
+    for instance, rols in markets:
+        for i, b, sup in _supbundle_cases(instance, rols):
+            expected = _supbundle_by_rerun(instance, rols, i, b, sup)
+            truthful = audit._truthful_seat(instance, rols, i)
+            before = len(engine_runs)
+            assert property_supbundle_monotone(instance, rols, i, b, sup) == expected
+            first = _rol_rank(rols[i], truthful) < rols[i].index(b)
+            assert len(engine_runs) - before == (0 if first else 1)
+            runs["clause 1" if first else "other"] += 1
+    assert runs["clause 1"] >= 1000 and runs["other"] >= 4000
+
+
 def test_dominated_rol_patterns_are_flagged(walkthrough):
     assert audit_rol_dominance(["b1234", "b12"], walkthrough) == [
         ("dominated", 2, "b12", "b1234")

@@ -340,6 +340,34 @@ def test_cli_tiebreak_must_cover_students(capsys):
     assert "--tiebreak must list every student exactly once" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("run-bundle-da",),
+    ("run-bundle-da", "--engine", "simple"),
+    ("trace",),
+    ("trace", "--engine", "standard"),
+], ids=["auto", "simple", "trace-auto", "trace-standard"])
+def test_cli_checks_a_given_tiebreak_whatever_the_engine(capsys, tmp_path, argv):
+    """A bad --tiebreak is a usage error even where no engine reads it, and a
+    good one leaves such an engine's output as it is without the flag."""
+    market = path("five_student_market.json")
+    rols = path("five_student_market_rols.json")
+    if "standard" in argv:
+        rols = tmp_path / "schools.json"
+        rols.write_text(json.dumps({"rols": {"i1": ["s1"], "i2": ["s2", "s1"],
+                                             "i3": ["s1"], "i4": ["s2"],
+                                             "i5": ["s3"]}}))
+        rols = str(rols)
+    code, out, err = cli(capsys, *argv, market, rols, "--tiebreak", "zz")
+    assert (code, out) == (2, "")
+    assert "--tiebreak must list every student exactly once" in err
+
+    code, plain, err = cli(capsys, *argv, market, rols)
+    assert (code, err) == (0, "")
+    students = ",".join(reversed(load_json(market)["students"]))
+    code, flagged, err = cli(capsys, *argv, market, rols, "--tiebreak", students)
+    assert (code, flagged, err) == (0, plain, "")
+
+
 def test_cli_run_da_rejects_bundle_entries(capsys):
     rols = path("five_student_market_rols.json")
     for argv in (("run-da",), ("trace", "--engine", "standard")):
@@ -405,10 +433,14 @@ def test_cli_check_stability_documents(capsys):
     assert doc["stability"]["violations"] == [["envy", "i4", "i3", "s2", 3]]
 
 
-def test_cli_oracles_and_improve(capsys):
+def test_cli_oracles_and_improve(capsys, tmp_path):
+    """A verdict reached without a search ignores the bound; one that needs
+    a witness search above it is refused."""
     market = path("five_student_market.json")
     rols = path("five_student_market_rols.json")
     matching = path("five_student_matching.json")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"matching": {}}))
 
     for notion in ("size-max", "pusm"):
         code, out, _ = cli(capsys, "oracle", notion, market, rols, matching)
@@ -416,11 +448,14 @@ def test_cli_oracles_and_improve(capsys):
         doc = json.loads(out)
         assert doc["notion"] == notion
         assert doc["holds"] is True and doc["witness"] is None
+        code, bounded, err = cli(capsys, "oracle", notion, market, rols, matching,
+                                 "--oracle-bound", "1")
+        assert (code, bounded, err) == (0, out, "")
 
-    code, _, err = cli(capsys, "oracle", "size-max", market, rols, matching,
-                       "--oracle-bound", "1")
-    assert code == 1
-    assert "exceed the bound of 1" in err
+        code, out, err = cli(capsys, "oracle", notion, market, rols, str(empty),
+                             "--oracle-bound", "1")
+        assert (code, out) == (1, "")
+        assert "exceed the bound of 1" in err
 
     code, _, _ = cli(capsys, "oracle", "biggest", market, rols, matching)
     assert code == 2  # argparse rejects the unknown notion
@@ -430,10 +465,21 @@ def test_cli_oracles_and_improve(capsys):
     doc = json.loads(out)
     assert doc["found"] is False and doc["matching"] is None
 
-    code, out, err = cli(capsys, "improve", market, rols, matching,
+    # The swapped matching gives i3 and i5 their first entries, and nobody
+    # else can move up while they keep theirs: no search, so no refusal.
+    swapped = path("five_student_swapped_matching.json")
+    code, out, err = cli(capsys, "improve", market, rols, swapped,
                          "--oracle-bound", "1")
-    assert (code, out) == (1, "")
-    assert "exceed the bound of 1" in err
+    assert (code, err) == (0, "")
+    assert json.loads(out)["found"] is False
+
+    # The stable matching is Pareto-dominated by the swapped one, so its
+    # "none found" needs the search, as does the empty matching's.
+    for needs_search in (matching, str(empty)):
+        code, out, err = cli(capsys, "improve", market, rols, needs_search,
+                             "--oracle-bound", "1")
+        assert (code, out) == (1, "")
+        assert "exceed the bound of 1" in err
 
 
 @pytest.mark.parametrize("command", [("oracle", "size-max"), ("improve",)],

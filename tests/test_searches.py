@@ -3,7 +3,8 @@
 The package's searches are compared with the recursive closures they
 replaced, kept in `search_reference`, on seeded batteries and the fixtures:
 the same verdicts, witnesses and seat assignments, in fewer nodes wherever a
-size-maximality search can stop early.  A last test checks that no library
+size-maximality search can stop early, and in none where no augmenting path
+exists.  A last test checks that no library
 entry point leaves cyclic garbage for the collector.
 """
 
@@ -13,7 +14,12 @@ import numpy as np
 import pytest
 import search_reference as ref
 from conftest import build, load_json
-from random_markets import _supbundle_cases, generate, random_spanning_market
+from random_markets import (
+    _supbundle_cases,
+    generate,
+    random_spanning_market,
+    spanning_market,
+)
 
 from bundlechoice import (
     BundleMatching,
@@ -52,12 +58,31 @@ def _unseated(rng, nu):
     })
 
 
+def _moved(rng, nu):
+    """nu with each student, with probability one half, moved to a random
+    bundle on her menu that has a seat left, listed or not, or unseated."""
+    instance = nu.instance
+    chains = instance.tree.chain
+    assignment = nu.as_dict()
+    for i in instance.students:
+        if rng.random() < 0.5:
+            assignment[i] = None
+            held = BundleMatching(instance, assignment)
+            open_ = [b for b in instance.menu(i)
+                     if all(held.occupancy(a) < instance.bundle_quota(a)
+                            for a in chains[b])]
+            pool = [*open_, None]
+            assignment[i] = pool[int(rng.integers(len(pool)))]
+    return BundleMatching(instance, assignment)
+
+
 @pytest.fixture(scope="module")
 def cases():
     """(bundle-matching, ROLs) pairs: per market the engine outcome, the
-    outcome with random students unseated and everyone unmatched, over 300
-    random simple markets, 100 random spanning markets and the fixtures,
-    plus the two five-student matchings the fixtures pin."""
+    outcome with random students unseated, the outcome with random students
+    moved (often to a bundle their ROL does not list) and everyone
+    unmatched, over 300 random simple markets, 100 random spanning markets
+    and the fixtures, plus the two five-student matchings the fixtures pin."""
     rng = np.random.default_rng(1717)
     markets = generate(300, 1717)
     markets += [random_spanning_market(rng) for _ in range(100)]
@@ -67,7 +92,8 @@ def cases():
     for instance, rols in markets:
         nu, _ = run_bundle_da(instance, rols)
         empty = BundleMatching(instance, dict.fromkeys(instance.students))
-        pairs += [(nu, rols), (_unseated(rng, nu), rols), (empty, rols)]
+        pairs += [(nu, rols), (_unseated(rng, nu), rols), (_moved(rng, nu), rols),
+                  (empty, rols)]
     swap = build(load_json("five_student_market.json"))
     swap_rols = load_json("five_student_market_rols.json")["rols"]
     for doc in ("five_student_matching.json", "five_student_swapped_matching.json"):
@@ -116,13 +142,15 @@ def test_searches_equal_the_recursive_references(cases):
 
 def test_size_searches_visit_no_more_nodes_than_the_references(cases,
                                                                package_nodes):
-    """Each size-maximality search visits at most the reference's nodes, and
-    strictly fewer over the battery; the improvement search, which cannot
-    stop early, visits the same nodes."""
+    """Each search visits at most the reference's nodes, and strictly fewer
+    over the battery: the size-maximality searches stop early, and every
+    search is skipped when no augmenting path exists.  The improvement
+    search cannot stop early, so when it runs it visits the same nodes."""
     oracles = (
         (oracle_size_maximal, ref.oracle_size_maximal),
         (oracle_pareto_undominated_size_maximal,
          ref.oracle_pareto_undominated_size_maximal),
+        (find_stable_pareto_improvement, ref.find_stable_pareto_improvement),
     )
     totals = [[0, 0] for _ in oracles]
     for nu, rols in cases:
@@ -131,14 +159,12 @@ def test_size_searches_visit_no_more_nodes_than_the_references(cases,
             expected = []
             oracle(nu, rols)
             reference(nu, rols, nodes=expected)
-            assert len(package_nodes) <= len(expected)
+            if oracle is find_stable_pareto_improvement:
+                assert package_nodes in ([], expected)
+            else:
+                assert len(package_nodes) <= len(expected)
             total[0] += len(package_nodes)
             total[1] += len(expected)
-        del package_nodes[:]
-        expected = []
-        find_stable_pareto_improvement(nu, rols)
-        ref.find_stable_pareto_improvement(nu, rols, nodes=expected)
-        assert package_nodes == expected
     for pruned, full in totals:
         assert pruned < full
 
@@ -229,3 +255,52 @@ def test_entry_points_leave_no_cyclic_garbage():
         gc.unfreeze()
     assert len(garbage) == 14
     assert garbage == dict.fromkeys(garbage, 0)
+
+
+def _non_ir(nu, rols):
+    return any(nu[i] is not None and nu[i] not in rols.get(i, ())
+               for i in nu.instance.students)
+
+
+def test_oracles_search_only_where_an_augmenting_path_exists(cases,
+                                                             package_nodes):
+    """Both size oracles search exactly when their verdict fails.  The
+    improvement search runs whenever it finds an improvement, and is skipped
+    on most verdicts of none; a matching with a seat its holder does not list
+    is always searched.  Verdicts and witnesses are compared with the
+    references by `test_searches_equal_the_recursive_references`."""
+    searchless = {"size": 0, "pusm": 0, "improvement": 0}
+    searched_none = non_ir = 0
+    for nu, rols in cases:
+        for name, oracle in (("size", oracle_size_maximal),
+                             ("pusm", oracle_pareto_undominated_size_maximal)):
+            del package_nodes[:]
+            holds, _ = oracle(nu, rols)
+            assert bool(package_nodes) is not holds
+            searchless[name] += holds
+        del package_nodes[:]
+        better = find_stable_pareto_improvement(nu, rols)
+        if better is not None or _non_ir(nu, rols):
+            assert package_nodes
+        searchless["improvement"] += not package_nodes
+        searched_none += better is None and bool(package_nodes)
+        non_ir += _non_ir(nu, rols)
+    assert searchless["size"] >= 500 and searchless["pusm"] >= 550
+    assert searchless["improvement"] >= 500 and searched_none >= 10
+    assert non_ir >= 200
+
+
+def test_pusm_is_decided_on_800_students_where_size_max_needs_a_search():
+    """On two 800-student grouped outcomes no student left out has an
+    augmenting path that keeps every seated one weakly as well off, so
+    Pareto-undominated size-maximality holds without a search.  A larger
+    seating does exist, so the size-maximality verdict needs its witness,
+    whose search still exceeds the bound."""
+    rng = np.random.default_rng(6262)
+    for _ in range(2):
+        instance, rols = spanning_market(rng, 800, [4] * 8, 25, 40, 3)
+        tiebreak = [instance.students[k] for k in rng.permutation(800)]
+        nu, _ = run_bundle_da(instance, rols, tiebreak)
+        assert oracle_pareto_undominated_size_maximal(nu, rols) == (True, None)
+        with pytest.raises(OracleBoundExceeded):
+            oracle_size_maximal(nu, rols)
