@@ -7,6 +7,8 @@ at specific schools.  The package also ships stability checkers,
 size-maximality oracles, and replications of two lab experiments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .audit import (
     DEFAULT_ORACLE_BOUND,
     OracleBoundExceeded,
@@ -74,7 +76,11 @@ from .model import (
     validate_rols,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names the imports above bind; the submodules they also bind
+# (`io`, `model`, ...) stay out, so a star import shadows no module of the
+# caller's, such as the standard library's `io`.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __all__ += ["main", "run_cli"]
 
 

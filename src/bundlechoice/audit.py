@@ -598,9 +598,12 @@ def audit_rol_dominance(rol, instance, indifference_classes=None):
     (the lower entry can never be reached with a seat to give), and, given
     the student's declared indifference classes, when a listed bundle sits
     strictly inside a class whose exact bundle exists.  Slots are reported
-    1-indexed.
+    1-indexed.  An entry naming a bundle the instance lacks is a ValueError.
     """
     rol = list(rol)
+    for bid in rol:
+        if bid not in instance.bundles:
+            raise ValueError(f"unknown bundle {bid}")
     chains = instance.tree.chain
     warnings = []
     for later, bid in enumerate(rol):

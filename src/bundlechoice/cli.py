@@ -6,13 +6,22 @@ Exit codes: 0 on success, 1 on validation failures, unstable verdicts under
 non-simple instance, and a --tiebreak that does not list every student once,
 whatever the engine).  Every result document is canonically serialized, so
 repeated runs with identical inputs and seeds are byte-identical.
+
+Each decision of this layer is made in one place: `_publish` puts the
+serialized instance into the digest inputs and prints the result of every
+instance command, `_refused` turns a library ValueError into a `_Failure`
+naming the document at fault, `_run_engine` resolves the engine and checks
+--tiebreak, `_assert_stable` gives the exit code of --assert-stable, and
+`run_cli` reports every refusal to stderr.
 """
 
 import argparse
+import contextlib
 import sys
 
 from . import io as bcio
 from .audit import (
+    DEFAULT_ORACLE_BOUND,
     OracleBoundExceeded,
     audit_rol_dominance,
     check_bundle_stability,
@@ -41,6 +50,16 @@ class _Failure(Exception):
         self.code = code
 
 
+@contextlib.contextmanager
+def _refused(where="", code=1):
+    """Raise a library ValueError as a _Failure exiting `code`, its message
+    led by `where`, the path of the document at fault."""
+    try:
+        yield
+    except ValueError as err:
+        raise _Failure(f"{where}{err}", code)
+
+
 def _fail_on_report(obj):
     if isinstance(obj, ValidationReport):
         raise _Failure(str(obj))
@@ -61,43 +80,35 @@ def _matching(args, instance, needs=None):
     if needs and kind != "bundle":
         raise _Failure(f"{args.matching}: {needs} a bundle-level matching document")
     cls = BundleMatching if kind == "bundle" else StandardMatching
-    try:
+    with _refused(f"{args.matching}: "):
         return kind, assignment, cls(instance, assignment)
-    except ValueError as err:
-        raise _Failure(f"{args.matching}: {err}")
-
-
-def _tiebreak(args, instance, engine):
-    """The student order the general engine reads, or None for any other
-    engine.  A given --tiebreak is checked whatever the engine; the general
-    engine needs one on a non-simple instance."""
-    if getattr(args, "tiebreak", None):
-        order = [i.strip() for i in args.tiebreak.split(",") if i.strip()]
-        if sorted(order) != sorted(instance.students):
-            raise _Failure("--tiebreak must list every student exactly once", 2)
-        return order if engine == "general" else None
-    if engine == "general" and not detect_simplicity(instance).simple:
-        raise _Failure(
-            "--tiebreak is required on non-simple instances", 2
-        )
-    return None
 
 
 def _run_engine(args, instance, rols, engine):
     """(engine, tiebreak, matching, trace) of one run, `auto` resolved to the
-    simple engine on a simple instance and the general one otherwise.  Standard
+    simple engine on a simple instance and the general one otherwise.
+
+    A given --tiebreak is checked whatever the engine, and only the general
+    engine reads it; that engine needs one on a non-simple instance.  Standard
     DA refuses a multi-school ROL entry, named with the ROL document."""
-    if engine == "auto":
-        engine = "simple" if detect_simplicity(instance).simple else "general"
-    tiebreak = _tiebreak(args, instance, engine)
-    try:
+    tiebreak = None
+    if getattr(args, "tiebreak", None):
+        tiebreak = [i.strip() for i in args.tiebreak.split(",") if i.strip()]
+        if sorted(tiebreak) != sorted(instance.students):
+            raise _Failure("--tiebreak must list every student exactly once", 2)
+    if engine in ("auto", "general"):
+        simple = detect_simplicity(instance).simple
+        if engine == "auto":
+            engine = "simple" if simple else "general"
+        if not simple and tiebreak is None:
+            raise _Failure("--tiebreak is required on non-simple instances", 2)
+    if engine != "general":
+        tiebreak = None
+    with _refused(f"{args.rols}: " if engine == "standard" else ""):
         if engine == "standard":
             matching, trace = run_standard_da(instance, rols)
         else:
             matching, trace = run_bundle_da(instance, rols, tiebreak, engine)
-    except ValueError as err:
-        where = f"{args.rols}: " if engine == "standard" else ""
-        raise _Failure(where + str(err))
     return engine, tiebreak, matching, trace
 
 
@@ -121,14 +132,21 @@ def _policy(args, instance):
 
 def _seat(args, nu, policy):
     """Seat a bundle matching; a stage ranking that misses its bundle fails."""
-    try:
+    with _refused(f"{args.stage_prefs}: "):
         return implement(nu, policy)
-    except ValueError as err:
-        raise _Failure(f"{args.stage_prefs}: {err}")
 
 
-def _emit(text):
-    sys.stdout.write(text)
+def _publish(command, instance, inputs, **blocks):
+    """Print the canonical result of an instance command, whose digest covers
+    the serialized instance and the other `inputs` the command read."""
+    inputs = {"instance": bcio.serialize_instance(instance), **inputs}
+    sys.stdout.write(bcio.canonical_result(command, inputs, **blocks))
+
+
+def _assert_stable(args, stability):
+    """The exit code of a command that ran: 1 when --assert-stable meets an
+    unstable verdict summary, else 0."""
+    return 1 if args.assert_stable and not stability["stable"] else 0
 
 
 def _cmd_validate(args):
@@ -145,23 +163,21 @@ def _cmd_validate(args):
     if args.rols:
         rols = _fail_on_report(bcio.parse_rols(args.rols, instance))
         blocks["rol_students"] = len(rols)
-    inputs = {"instance": bcio.serialize_instance(instance)}
-    _emit(bcio.canonical_result("validate", inputs, **blocks))
+    _publish("validate", instance, {}, **blocks)
     return 0
 
 
 def _cmd_run_da(args):
     instance, rols = _load_market(args)
     *_, matching, trace = _run_engine(args, instance, rols, "standard")
-    verdict = check_bundle_stability(matching, rols)
-    inputs = {"instance": bcio.serialize_instance(instance), "rols": rols}
-    _emit(bcio.canonical_result(
-        "run-da", inputs,
+    stability = bcio.verdict_summary(check_bundle_stability(matching, rols))
+    _publish(
+        "run-da", instance, {"rols": rols},
         bundle_matching=matching.as_dict(),
         rounds=len(trace.rounds),
-        stability=bcio.verdict_summary(verdict),
-    ))
-    return 0 if verdict.stable or not args.assert_stable else 1
+        stability=stability,
+    )
+    return _assert_stable(args, stability)
 
 
 def _cmd_run_bundle_da(args):
@@ -181,17 +197,14 @@ def _cmd_run_bundle_da(args):
             check_standard_stability(seats, rols)
         )
     inputs = {
-        "instance": bcio.serialize_instance(instance),
         "rols": rols,
         "engine": engine,
         "tiebreak": tiebreak,
         "policy": getattr(policy, "mode", None),
         "seed": args.seed,
     }
-    _emit(bcio.canonical_result("run-bundle-da", inputs, **blocks))
-    if args.assert_stable and not blocks["stability"]["stable"]:
-        return 1
-    return 0
+    _publish("run-bundle-da", instance, inputs, **blocks)
+    return _assert_stable(args, blocks["stability"])
 
 
 def _cmd_implement(args):
@@ -199,17 +212,12 @@ def _cmd_implement(args):
     *_, nu = _matching(args, instance, "implement needs")
     policy = _policy(args, instance) or ImplementationPolicy("det")
     seats = _seat(args, nu, policy)
-    inputs = {
-        "instance": bcio.serialize_instance(instance),
-        "matching": nu.as_dict(),
-        "policy": policy.mode,
-        "seed": args.seed,
-    }
-    _emit(bcio.canonical_result(
-        "implement", inputs,
+    inputs = {"matching": nu.as_dict(), "policy": policy.mode, "seed": args.seed}
+    _publish(
+        "implement", instance, inputs,
         bundle_matching=nu.as_dict(),
         standard_matching=seats.as_dict(),
-    ))
+    )
     return 0
 
 
@@ -217,19 +225,10 @@ def _cmd_check_stability(args):
     instance, rols = _load_market(args)
     kind, assignment, matching = _matching(args, instance)
     check = check_bundle_stability if kind == "bundle" else check_standard_stability
-    verdict = check(matching, rols)
-    inputs = {
-        "instance": bcio.serialize_instance(instance),
-        "rols": rols,
-        "matching": assignment,
-        "kind": kind,
-    }
-    _emit(bcio.canonical_result(
-        "check-stability", inputs,
-        kind=kind,
-        stability=bcio.verdict_summary(verdict),
-    ))
-    return 0 if verdict.stable or not args.assert_stable else 1
+    stability = bcio.verdict_summary(check(matching, rols))
+    inputs = {"rols": rols, "matching": assignment, "kind": kind}
+    _publish("check-stability", instance, inputs, kind=kind, stability=stability)
+    return _assert_stable(args, stability)
 
 
 def _cmd_oracle(args):
@@ -240,15 +239,9 @@ def _cmd_oracle(args):
         "pusm": oracle_pareto_undominated_size_maximal,
     }[args.notion]
     holds, witness = oracle(nu, rols, bound=args.oracle_bound)
-    inputs = {
-        "instance": bcio.serialize_instance(instance),
-        "rols": rols,
-        "matching": nu.as_dict(),
-        "notion": args.notion,
-    }
-    _emit(bcio.canonical_result(
-        "oracle", inputs, notion=args.notion, holds=holds, witness=witness,
-    ))
+    inputs = {"rols": rols, "matching": nu.as_dict(), "notion": args.notion}
+    _publish("oracle", instance, inputs,
+             notion=args.notion, holds=holds, witness=witness)
     return 0
 
 
@@ -256,16 +249,11 @@ def _cmd_improve(args):
     instance, rols = _load_market(args)
     *_, nu = _matching(args, instance, "improve needs")
     better = find_stable_pareto_improvement(nu, rols, bound=args.oracle_bound)
-    inputs = {
-        "instance": bcio.serialize_instance(instance),
-        "rols": rols,
-        "matching": nu.as_dict(),
-    }
-    _emit(bcio.canonical_result(
-        "improve", inputs,
+    _publish(
+        "improve", instance, {"rols": rols, "matching": nu.as_dict()},
         found=better is not None,
         matching=None if better is None else better.as_dict(),
-    ))
+    )
     return 0
 
 
@@ -278,32 +266,23 @@ def _cmd_audit_rol(args):
         i: [list(w) for w in audit_rol_dominance(rol, instance, classes.get(i))]
         for i, rol in sorted(rols.items())
     }
-    inputs = {"instance": bcio.serialize_instance(instance), "rols": rols}
-    _emit(bcio.canonical_result(
-        "audit-rol", inputs,
-        warnings={i: w for i, w in warnings.items() if w},
-    ))
+    _publish("audit-rol", instance, {"rols": rols},
+             warnings={i: w for i, w in warnings.items() if w})
     return 0
 
 
 def _cmd_simulate(args):
-    try:
+    with _refused(code=2):
         config = (Exp1Config if args.exp == 1 else Exp2Config)(args.treatment)
-    except ValueError as err:
-        raise _Failure(str(err), 2)
     if args.rounds < 1 and not args.exact:
         raise _Failure("--rounds must be at least 1", 2)
     if args.profile == "equilibrium":
-        try:
+        with _refused(code=2):
             profile = equilibrium_profile(config)
-        except ValueError as err:
-            raise _Failure(str(err), 2)
     else:
         profile = _fail_on_report(bcio.parse_profile(args.profile))
-        try:
+        with _refused(f"{args.profile}: "):
             profile.validate(config)
-        except ValueError as err:
-            raise _Failure(f"{args.profile}: {err}")
     if args.exact:
         if args.exp != 1:
             raise _Failure("--exact is only available for --exp 1", 2)
@@ -312,7 +291,7 @@ def _cmd_simulate(args):
     else:
         metrics, log = simulate_rounds(config, profile, args.rounds, args.seed)
     if args.csv:
-        _emit(bcio.metrics_csv(config.treatment, metrics))
+        sys.stdout.write(bcio.metrics_csv(config.treatment, metrics))
         return 0
     inputs = {
         "exp": args.exp,
@@ -322,7 +301,7 @@ def _cmd_simulate(args):
         "seed": args.seed,
         "exact": args.exact,
     }
-    _emit(bcio.canonical_result(
+    sys.stdout.write(bcio.canonical_result(
         "simulate-experiment", inputs,
         treatment=config.treatment,
         metrics=bcio.metrics_block(metrics),
@@ -334,7 +313,7 @@ def _cmd_simulate(args):
 def _cmd_trace(args):
     instance, rols = _load_market(args)
     *_, trace = _run_engine(args, instance, rols, args.engine)
-    _emit(bcio.trace_csv(trace))
+    sys.stdout.write(bcio.trace_csv(trace))
     return 0
 
 
@@ -413,13 +392,15 @@ def build_parser():
     p.add_argument("notion", choices=("size-max", "pusm"))
     market(p)
     p.add_argument("matching")
-    p.add_argument("--oracle-bound", type=_oracle_bound, default=10**7)
+    p.add_argument("--oracle-bound", type=_oracle_bound,
+                   default=DEFAULT_ORACLE_BOUND)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("improve", help="search for a stable Pareto improvement")
     market(p)
     p.add_argument("matching")
-    p.add_argument("--oracle-bound", type=_oracle_bound, default=10**7)
+    p.add_argument("--oracle-bound", type=_oracle_bound,
+                   default=DEFAULT_ORACLE_BOUND)
     p.set_defaults(func=_cmd_improve)
 
     p = sub.add_parser("audit-rol", help="flag dominated ROL patterns")
@@ -457,12 +438,9 @@ def run_cli(argv=None):
         return int(exit_.code or 0)
     try:
         return args.func(args)
-    except _Failure as failure:
-        sys.stderr.write(str(failure) + "\n")
-        return failure.code
-    except OracleBoundExceeded as err:
-        sys.stderr.write(str(err) + "\n")
-        return 1
+    except (_Failure, OracleBoundExceeded) as refusal:  # an oracle's exits 1
+        sys.stderr.write(f"{refusal}\n")
+        return getattr(refusal, "code", 1)
 
 
 def main():

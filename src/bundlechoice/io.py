@@ -1,7 +1,9 @@
 """File formats, canonical serialization, and CSV emission.
 
 Instances, ROLs, matchings, and strategy profiles all travel as JSON
-documents with string keys.  Canonical serialization sorts every key,
+documents with string keys.  A parser returns what it read, or a
+ValidationReport built by `_refusal`, the one place that starts each problem
+line with the document's path.  Canonical serialization sorts every key,
 flattens sets into sorted lists, and prints with fixed separators, so equal
 inputs always produce byte-identical output; a sha256 digest of the
 canonical inputs ties each result document to what produced it.
@@ -41,6 +43,11 @@ def content_digest(obj):
     return hashlib.sha256(canonical_document(obj).encode("utf-8")).hexdigest()
 
 
+def _refusal(path, *problems):
+    """A ValidationReport locating each problem in the document at `path`."""
+    return ValidationReport([f"{path}: {problem}" for problem in problems])
+
+
 def _load_document(path):
     """Parsed JSON or a ValidationReport with the failure position."""
     try:
@@ -59,14 +66,7 @@ def _load_document(path):
             problem = "a number too long to read"
         except RecursionError:
             problem = "arrays or objects nested too deeply to read"
-    return ValidationReport([f"{path}: {problem}"])
-
-
-def _located(report, path):
-    out = ValidationReport([])
-    for problem in report.problems:
-        out.add(f"{path}: {problem}")
-    return out
+    return _refusal(path, problem)
 
 
 def parse_instance(path):
@@ -75,12 +75,10 @@ def parse_instance(path):
     if isinstance(raw, ValidationReport):
         return raw
     if not isinstance(raw, dict):
-        report = ValidationReport([])
-        report.add(f"{path}: top-level document must be an object")
-        return report
+        return _refusal(path, "top-level document must be an object")
     result = validate_instance(raw)
     if isinstance(result, ValidationReport):
-        return _located(result, path)
+        return _refusal(path, *result.problems)
     return result
 
 
@@ -90,17 +88,11 @@ def parse_rols(path, instance):
     if isinstance(raw, ValidationReport):
         return raw
     if not isinstance(raw, dict) or not isinstance(raw.get("rols"), dict):
-        report = ValidationReport([])
-        report.add(
-            f'{path}: expected an object with a "rols" field mapping each '
-            "student to a list of bundle ids"
-        )
-        return report
+        return _refusal(path, 'expected an object with a "rols" field mapping '
+                        "each student to a list of bundle ids")
     rols = raw["rols"]
     report = validate_rols(instance, rols)
-    if report.problems:
-        return _located(report, path)
-    return rols
+    return _refusal(path, *report.problems) if report.problems else rols
 
 
 def parse_matching(path, instance):
@@ -112,16 +104,14 @@ def parse_matching(path, instance):
     raw = _load_document(path)
     if isinstance(raw, ValidationReport):
         return raw
-    report = ValidationReport([])
     for field, kind, entry in (("matching", "bundle", "a bundle id"),
                                ("seats", "standard", "a school id")):
         if isinstance(raw, dict) and isinstance(raw.get(field), dict):
-            for student, value in raw[field].items():
-                if value is not None and not isinstance(value, str):
-                    report.add(f"{path}: {field}.{student}: expected {entry} or null")
-            return report if report.problems else (kind, dict(raw[field]))
-    report.add(f'{path}: expected an object with a "matching" or "seats" field')
-    return report
+            problems = [f"{field}.{student}: expected {entry} or null"
+                        for student, value in raw[field].items()
+                        if value is not None and not isinstance(value, str)]
+            return _refusal(path, *problems) if problems else (kind, dict(raw[field]))
+    return _refusal(path, 'expected an object with a "matching" or "seats" field')
 
 
 def _per_student(path, instance, what, entry_problems):
@@ -133,17 +123,15 @@ def _per_student(path, instance, what, entry_problems):
     raw = _load_document(path)
     if isinstance(raw, ValidationReport):
         return raw
-    report = ValidationReport([])
     if not isinstance(raw, dict):
-        report.add(f"{path}: expected an object mapping each student to {what}")
-        return report
+        return _refusal(path, f"expected an object mapping each student to {what}")
     students = set(instance.students)
+    problems = []
     for student, value in raw.items():
         if student not in students:
-            report.add(f"{path}: unknown student {student}")
-        for problem in entry_problems(student, value):
-            report.add(f"{path}: {problem}")
-    return report if report.problems else raw
+            problems.append(f"unknown student {student}")
+        problems += entry_problems(student, value)
+    return _refusal(path, *problems) if problems else raw
 
 
 def _school_list_problems(instance, field, value):
@@ -203,22 +191,18 @@ def parse_profile(path):
     raw = _load_document(path)
     if isinstance(raw, ValidationReport):
         return raw
-    report = ValidationReport([])
     kind = raw.get("kind") if isinstance(raw, dict) else None
     if kind not in _PROFILE_FIELDS:
-        report.add(f'{path}: profile "kind" must be "per-type" or "by-rank"')
-        return report
+        return _refusal(path, 'profile "kind" must be "per-type" or "by-rank"')
     field, well_formed, expected = _PROFILE_FIELDS[kind]
     if field not in raw:
-        report.add(f'{path}: missing field "{field}"')
-    elif not well_formed(raw[field]):
-        report.add(f"{path}: {field}: expected {expected}")
-    else:
-        try:
-            return StrategyProfile(kind, raw[field])
-        except ValueError as err:
-            report.add(f"{path}: {err}")
-    return report
+        return _refusal(path, f'missing field "{field}"')
+    if not well_formed(raw[field]):
+        return _refusal(path, f"{field}: expected {expected}")
+    try:
+        return StrategyProfile(kind, raw[field])
+    except ValueError as err:
+        return _refusal(path, err)
 
 
 def serialize_instance(instance):

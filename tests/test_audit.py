@@ -126,6 +126,16 @@ def test_audits_name_an_unknown_listed_bundle(check, swap_nu, swap_rols):
         check(swap_nu, rols)
 
 
+@pytest.mark.parametrize("rol", [["nope"], ["s1", "nope"]], ids=["alone", "later"])
+def test_rol_dominance_audit_names_an_unknown_bundle(walkthrough, rol):
+    """It takes one list, so its message names no student; an indifference
+    class does not reach the bundle first."""
+    with pytest.raises(ValueError, match="^unknown bundle nope$"):
+        audit_rol_dominance(rol, walkthrough)
+    with pytest.raises(ValueError, match="^unknown bundle nope$"):
+        audit_rol_dominance(rol, walkthrough, indifference_classes=[{"s1", "s2"}])
+
+
 def test_size_and_stability_can_disagree(tiny_market, tiny_rols):
     """Stable outcome seats one student; an unstable one seats both."""
     nu, _ = run_bundle_da_simple(tiny_market, tiny_rols)

@@ -5,11 +5,13 @@ byte-identity of repeated runs is part of the contract.
 """
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -217,6 +219,17 @@ def test_metrics_csv_via_dispatch():
 
 
 # ---------------------------------------------------------------------------
+def test_star_import_binds_no_module():
+    """`from bundlechoice import *` leaves a caller's `io` the standard one."""
+    names = {}
+    exec("import io\nfrom bundlechoice import *", names)
+    assert names["io"] is io
+    modules = sorted(name for name, value in names.items()
+                     if isinstance(value, ModuleType) and name != "__builtins__")
+    assert modules == ["io"]
+    assert "run_cli" in names and "parse_instance" in names
+
+
 # CLI
 # ---------------------------------------------------------------------------
 
