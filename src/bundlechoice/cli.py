@@ -438,9 +438,9 @@ def run_cli(argv=None):
         return int(exit_.code or 0)
     try:
         return args.func(args)
-    except (_Failure, OracleBoundExceeded) as refusal:  # an oracle's exits 1
+    except (_Failure, OracleBoundExceeded) as refusal:
         sys.stderr.write(f"{refusal}\n")
-        return getattr(refusal, "code", 1)
+        return getattr(refusal, "code", 1)  # an exceeded oracle bound exits 1
 
 
 def main():
