@@ -46,15 +46,17 @@ function, not a closure that refers to itself.
 
 The reporting-property checks compare a student's seat under a changed ROL
 with her seat under the submitted ROLs.  Callers check one market student by
-student, so that truthful outcome is memoised for the last market seen: the
-instance by identity, the ROLs by value.  The engine never reads an entry
-below a student's final seat, so a change there is not run.
+student, so the last market seen is prepared once (the instance by identity,
+the ROLs by value): its ROL table, its application key, the keys computed so
+far and the truthful seats.  The key ignores the reports, so every changed
+list is settled on that one preparation through the engines' loop, without
+a trace or a matching.  The engine never reads an entry below a student's
+final seat, so a change there is not run.
 """
 
-from functools import lru_cache
 from itertools import permutations
 
-from .engines import run_bundle_da
+from .engines import _application_key, _settle
 from .model import UNMATCHED, _read_rols
 
 
@@ -501,24 +503,31 @@ def _listed(instance, rols, student):
     return tuple(rols.get(student, ()))
 
 
-@lru_cache(maxsize=1)
-def _truthful_matching(instance, rol_key):
-    """The engine's matching under one market's submitted ROLs.
+# The market the property checks last prepared, as one tuple so that no
+# reader mixes two markets: (instance, ROL table, key, keys, truthful seats).
+_prepared = (None, None, None, None, None)
+
+
+def _market(instance, rols):
+    """The prepared market of `instance` under `rols`, prepared once.
 
     One slot, since callers check a market student by student before moving
-    on.  The instance is keyed by identity (it defines no equality) and held
-    by the memo, so its id cannot be reused; the ROLs are keyed by value, so
-    a ROL dict mutated between calls never reads a stale entry.  The matching
-    stays private: callers read one student's seat from it.
+    on.  The instance is compared by identity and held by the slot, so its id
+    cannot be reused; the ROLs by value, as the `_read_rols` table, so a ROL
+    dict mutated between calls is prepared again.  The key is the one
+    `run_bundle_da(instance, rols)` uses, and it ignores the reports, so
+    every trial, the table with one student's list replaced, is settled on
+    it and shares the keys it has computed.
     """
-    nu, _ = run_bundle_da(instance, dict(zip(instance.students, rol_key)))
-    return nu
-
-
-def _truthful_seat(instance, rols, student):
-    """The student's bundle under the submitted ROLs, through the memo."""
-    rol_key = tuple(tuple(rols.get(i, ())) for i in instance.students)
-    return _truthful_matching(instance, rol_key)[student]
+    global _prepared
+    market = _prepared
+    table = {i: tuple(rols.get(i, ())) for i in instance.students}
+    if market[0] is not instance or market[1] != table:
+        table = _read_rols(instance, rols)
+        key, keys = _application_key(instance, instance.students), {}
+        market = _prepared = (instance, table, key, keys,
+                              _settle(instance, table, key, keys))
+    return market
 
 
 def property_truthtelling(instance, rols, student):
@@ -528,23 +537,21 @@ def property_truthtelling(instance, rols, student):
     the check fails when some reordering wins her a bundle she ranks above
     the one she gets by reporting truthfully.  A student who already gets
     her first entry cannot do better, so no reordering is tried; otherwise
-    the engine runs once per reordering.  The truthful outcome comes from a
-    one-market memo shared with `property_supbundle_monotone`.  Returns None
-    on pass, or a violation tuple ("truthtelling", student, reordering, new
-    assignment).
+    each reordering is settled on the market prepared once for all checks
+    of these ROLs (`_market`), without a trace.  Returns None on pass, or a
+    violation tuple ("truthtelling", student, reordering, new assignment).
     """
     rol = _listed(instance, rols, student)
-    base_rank = _rol_rank(rol, _truthful_seat(instance, rols, student))
+    _, table, key, keys, truthful = _market(instance, rols)
+    base_rank = _rol_rank(rol, truthful.get(student))
     if base_rank == 0:
         return None
     for reordered in permutations(rol):
         if reordered == rol:
             continue
-        trial = dict(rols)
-        trial[student] = list(reordered)
-        outcome, _ = run_bundle_da(instance, trial)
-        if _rol_rank(rol, outcome[student]) < base_rank:
-            return ("truthtelling", student, reordered, outcome[student])
+        seat = _settle(instance, {**table, student: reordered}, key, keys).get(student)
+        if _rol_rank(rol, seat) < base_rank:
+            return ("truthtelling", student, reordered, seat)
     return None
 
 
@@ -554,9 +561,10 @@ def property_supbundle_monotone(instance, rols, student, b, b_sup):
     Expected movement: an assignment above b is untouched; an assignment
     at b moves to b_sup; an assignment below b (or none) moves to b_sup or
     stays.  The first clause holds without a run, since the engine never
-    reads an entry below the student's final seat.  The sup-bundle must be
-    one the student may list.  Returns None on pass, or ("supbundle",
-    student, clause, old assignment, new assignment).
+    reads an entry below the student's final seat; any other settles the
+    swapped list once on the market `property_truthtelling` prepares.  The
+    sup-bundle must be one the student may list.  Returns None on pass, or
+    ("supbundle", student, clause, old assignment, new assignment).
     """
     rol = _listed(instance, rols, student)
     for bid in (b, b_sup):
@@ -571,15 +579,12 @@ def property_supbundle_monotone(instance, rols, student, b, b_sup):
     if not instance.bundles[b].schools < instance.bundles[b_sup].schools:
         raise ValueError(f"{b_sup} does not strictly contain {b}")
 
-    old = _truthful_seat(instance, rols, student)
-    slot = rol.index(b)
-    if _rol_rank(rol, old) < slot:
+    _, table, key, keys, truthful = _market(instance, rols)
+    old = truthful.get(student)
+    if _rol_rank(rol, old) < rol.index(b):
         return None
-    trial = dict(rols)
-    trial[student] = [b_sup if bid == b else bid for bid in rol]
-    outcome, _ = run_bundle_da(instance, trial)
-
-    new = outcome[student]
+    swapped = tuple(b_sup if bid == b else bid for bid in rol)
+    new = _settle(instance, {**table, student: swapped}, key, keys).get(student)
     if old == b:
         if new != b_sup:
             return ("supbundle", student, 2, old, new)

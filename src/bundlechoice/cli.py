@@ -136,10 +136,13 @@ def _seat(args, nu, policy):
         return implement(nu, policy)
 
 
-def _publish(command, instance, inputs, **blocks):
+def _publish(command, instance, inputs, policy=None, **blocks):
     """Print the canonical result of an instance command, whose digest covers
-    the serialized instance and the other `inputs` the command read."""
+    the serialized instance, the other `inputs` the command read and the
+    rankings of a --stage-prefs document its seating `policy` read."""
     inputs = {"instance": bcio.serialize_instance(instance), **inputs}
+    if getattr(policy, "preferences", None) is not None:
+        inputs["stage_prefs"] = policy.preferences
     sys.stdout.write(bcio.canonical_result(command, inputs, **blocks))
 
 
@@ -203,7 +206,7 @@ def _cmd_run_bundle_da(args):
         "policy": getattr(policy, "mode", None),
         "seed": args.seed,
     }
-    _publish("run-bundle-da", instance, inputs, **blocks)
+    _publish("run-bundle-da", instance, inputs, policy, **blocks)
     return _assert_stable(args, blocks["stability"])
 
 
@@ -214,7 +217,7 @@ def _cmd_implement(args):
     seats = _seat(args, nu, policy)
     inputs = {"matching": nu.as_dict(), "policy": policy.mode, "seed": args.seed}
     _publish(
-        "implement", instance, inputs,
+        "implement", instance, inputs, policy,
         bundle_matching=nu.as_dict(),
         standard_matching=seats.as_dict(),
     )
@@ -259,14 +262,15 @@ def _cmd_improve(args):
 
 def _cmd_audit_rol(args):
     instance, rols = _load_market(args)
-    classes = {}
-    if args.classes:
-        classes = _fail_on_report(bcio.parse_classes(args.classes, instance))
+    inputs = {"rols": rols}
+    if args.classes:  # digested by its parsed content, as every side document
+        inputs["classes"] = _fail_on_report(bcio.parse_classes(args.classes, instance))
+    classes = inputs.get("classes", {})
     warnings = {
         i: [list(w) for w in audit_rol_dominance(rol, instance, classes.get(i))]
         for i, rol in sorted(rols.items())
     }
-    _publish("audit-rol", instance, {"rols": rols},
+    _publish("audit-rol", instance, inputs,
              warnings={i: w for i, w in warnings.items() if w})
     return 0
 
@@ -296,7 +300,8 @@ def _cmd_simulate(args):
     inputs = {
         "exp": args.exp,
         "treatment": config.treatment,
-        "profile": args.profile,
+        # A profile document by its parsed kind and strategies, not its path.
+        "profile": args.profile if args.profile == "equilibrium" else vars(profile),
         "rounds": args.rounds,
         "seed": args.seed,
         "exact": args.exact,

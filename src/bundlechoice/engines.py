@@ -2,7 +2,8 @@
 
 Every engine consumes a validated instance plus a ROL mapping {student:
 sequence of bundle ids} and returns a (BundleMatching, EngineTrace) pair.
-They share one deferred-acceptance loop, `_deferred_acceptance`.  Its first
+They share one deferred-acceptance loop, the generator `_rounds`, which
+`_deferred_acceptance` records as a trace and `_settle` only drains.  Its first
 round sends every student to the first entry of her list; each later round
 sends only the students the round before rejected, each to her next entry,
 and the run stops once a round leaves no rejected student with an entry
@@ -72,7 +73,6 @@ trace's `events` flattens them with their round numbers.
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import count
 
 from .model import BundleMatching, _read_rols, detect_simplicity
 
@@ -186,36 +186,62 @@ class _Seats:
             del holders[bisect_left(holders, entry)]
 
 
-def _deferred_acceptance(instance, name, seats, key, run):
-    """The student-proposing loop all three engines share.
+def _rounds(instance, rol, seats, key, keys):
+    """The student-proposing loop every run shares, one round at a time.
 
     Each round places its new applications, in canonical order, into
-    `seats`, keyed by `key(i, b)`; the students it rejects move one entry
-    down, and those with an entry left make the next round's applications.
+    `seats`, keyed by `key(i, b)` unless `keys` holds the key already, and
+    yields (applications, the students it rejected); those move one entry
+    down, and the ones with an entry left make the next round's applications.
     """
-    rol = run.rol
-    pointer = dict.fromkeys(rol, 0)
+    pointer = {}  # student -> her entry now, once a round has rejected her
     proposals = {i: entries[0] for i, entries in rol.items() if entries}
-    trace = EngineTrace(name)
-    rnd = None
-    for number in count(1):
+    for _ in range(len(instance.students) * instance.rol_length + 1):
         if not proposals:
-            return BundleMatching(instance, seats.held), trace
-        if number > len(instance.students) * instance.rol_length + 1:
-            raise RuntimeError("round limit exceeded; engine failed to settle")
+            return
         losers = set()
         for i, b in proposals.items():
-            run.keys[i, b] = key(i, b)
-            loser = seats.place(i, b)
-            if loser is not None:
-                losers.add(loser)
-        rnd = Round(number, proposals, frozenset(losers), rnd, run)
-        trace.rounds.append(rnd)
+            if (i, b) not in keys:
+                keys[i, b] = key(i, b)
+            losers.add(seats.place(i, b))
+        losers.discard(None)
+        yield proposals, losers
         proposals = {}
         for i in sorted(losers, key=instance.student_key):
-            pointer[i] += 1
-            if pointer[i] < len(rol[i]):
-                proposals[i] = rol[i][pointer[i]]
+            k = pointer[i] = pointer.get(i, 0) + 1
+            if k < len(rol[i]):
+                proposals[i] = rol[i][k]
+    if proposals:
+        raise RuntimeError("round limit exceeded; engine failed to settle")
+
+
+def _deferred_acceptance(instance, name, seats, key, run):
+    """Run `_rounds` to the end, recording each round in the trace."""
+    trace, rnd = EngineTrace(name), None
+    for proposals, losers in _rounds(instance, run.rol, seats, key, run.keys):
+        rnd = Round(len(trace.rounds) + 1, proposals, frozenset(losers), rnd, run)
+        trace.rounds.append(rnd)
+    return BundleMatching(instance, seats.held), trace
+
+
+def _settle(instance, rol, key, keys):
+    """The seats bundle deferred acceptance holds at the end, {student:
+    bundle}, with no trace or matching recorded.
+
+    `rol` is a table as `_read_rols` returns it, and `keys` may be shared by
+    every run with the same `key`.  Raises what the run's `BundleMatching`
+    would: a seat held by a student not eligible for it, the first such
+    student in canonical order.
+    """
+    seats = _Seats(instance.tree.quota, instance.tree.chain, keys)
+    for _ in _rounds(instance, rol, seats, key, keys):
+        pass
+    held, bundles = seats.held, instance.bundles
+    ineligible = [i for i in held if i not in bundles[held[i]].targets]
+    if ineligible:
+        i = min(ineligible, key=instance.student_key)
+        raise ValueError(f"student {i} is not eligible for bundle {held[i]}")
+    return held
 
 
 def _standard_decisions(rnd):
@@ -264,11 +290,12 @@ def _application_key(instance, tiebreak):
     """The key of an application (i, b), computed once per application."""
     tree, bundles = instance.tree, instance.bundles
     shared = {}  # root whose schools share one priority order -> its ranks
+    simple = instance.simplicity.simple  # then every root's schools do
     for root in tree.roots:
         s, *others = bundles[root].schools
         order = instance.schools[s].priority
-        if all(p is order or p == order
-               for p in (instance.schools[o].priority for o in others)):
+        if simple or all(p is order or p == order
+                         for p in (instance.schools[o].priority for o in others)):
             shared[root] = instance.ranks(s)
     tb_rank = {i: k for k, i in enumerate(tiebreak)}
     everyone = len(instance.students)

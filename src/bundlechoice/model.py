@@ -492,9 +492,9 @@ class _Matching:
     assignment (None when unmatched), refusing students it does not have."""
 
     def __init__(self, instance, assignment):
-        for i in assignment:
-            if i not in instance._student_index:
-                raise ValueError(f"unknown student {i} in matching")
+        if not instance._student_index.keys() >= assignment.keys():
+            i = next(i for i in assignment if i not in instance._student_index)
+            raise ValueError(f"unknown student {i} in matching")
         self.instance = instance
         self.assignment = {i: assignment.get(i) for i in instance.students}
 

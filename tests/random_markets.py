@@ -157,6 +157,22 @@ def _supbundle_cases(instance, rols):
     return cases
 
 
+def _with_ineligible_entries(rng, instance, rols):
+    """The ROLs with a bundle the student may not list put into each list at
+    a random slot, for about half of the students who have one off their
+    menu.  Library callers may pass such lists unvalidated."""
+    changed = dict(rols)
+    for i in instance.students:
+        off_menu = [b for b in instance.bundle_order
+                    if i not in instance.bundles[b].targets]
+        if off_menu and rng.random() < 0.5:
+            entries = list(rols.get(i, ()))
+            slot = int(rng.integers(len(entries) + 1))
+            entries.insert(slot, off_menu[int(rng.integers(len(off_menu)))])
+            changed[i] = entries
+    return changed
+
+
 def to_ref(instance, rols):
     """(schools, bundles, rols) of a market in `stability_oracle`'s plain form."""
     schools = {

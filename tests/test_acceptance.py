@@ -448,8 +448,7 @@ def test_criterion_6_conservative_reports_raise_match_rate(capsys):
     assert ok, detail
 
 
-# Criterion 7's command forms, with paths relative to the repository root
-# (the exp-2 result document records its --profile path).
+# Criterion 7's command forms, with paths relative to the repository root.
 CLI_FORMS = [
     ("validate", "fixtures/two_hierarchy_market.json"),
     ("run-bundle-da", "fixtures/two_hierarchy_market.json",
@@ -506,14 +505,16 @@ def test_criterion_7_cli_byte_identity(capsys):
 
 # sha256 of each CLI_FORMS command's stdout, recorded before the engines
 # shared one round loop and serialization became one json.dumps pass; the
-# `trace` form's when the general engine came to clear over a fixed order.
+# `trace` form's when the general engine came to clear over a fixed order;
+# the exp-2 --profile form's when its digest came to cover the profile's
+# parsed content instead of its path.
 CLI_STDOUT_SHA256 = [
     "4da809d4dfad80bfe74733b56261b64b6ffea47b3b2fe6726a2bc530b0b828f0",
     "c320a772382f07a5e8ad67c87215c5d8c309ed6fb358c335dbec8a0b882e6c78",
     "6332bbb223a83d89ac403f9de6325b1e31c5c42e95005800a1c89d092d42f428",
     "b6d5f6062da896ac6f284628209ced5f87863f375d1164e9d5871452324b1959",
     "c37ec36174763c9849266dcd2aa821adcd0aa5eadfceacd2892bf0ad6e34cdbe",
-    "1e63a3bc40e495015276a9ac77a1c0e401405a0ebfbec3cfe92f4c025d95fd16",
+    "ef18fbcdb1314b43ff9d3ab766ccc09f945a6a248e0738e24f25ef3da659a1dd",
     "1accee1b8acb3c6e006b551218c570875f59e3d930eab2cc54472d43eefc2d61",
 ]
 

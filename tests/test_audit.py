@@ -14,6 +14,7 @@ from audit_helpers import EnvyPairReport, induced_preference
 from conftest import load_json
 from random_markets import (
     _supbundle_cases,
+    _with_ineligible_entries,
     exhaustive_stable_set,
     generate,
     random_simple_market,
@@ -211,22 +212,6 @@ def _seat_violations_by_full_scan(mu, rols, instance):
             out += [("envy", i, j, s) for j in mu.students_at(s)
                     if instance.prefers(s, i, j)]
     return tuple(out)
-
-
-def _with_ineligible_entries(rng, instance, rols):
-    """The ROLs with a bundle the student may not list put into each list at
-    a random slot, for about half of the students who have one off their
-    menu.  Library callers may pass such lists unvalidated."""
-    changed = dict(rols)
-    for i in instance.students:
-        off_menu = [b for b in instance.bundle_order
-                    if i not in instance.bundles[b].targets]
-        if off_menu and rng.random() < 0.5:
-            entries = list(rols.get(i, ()))
-            slot = int(rng.integers(len(entries) + 1))
-            entries.insert(slot, off_menu[int(rng.integers(len(off_menu)))])
-            changed[i] = entries
-    return changed
 
 
 def _desired(rol, held):
@@ -584,31 +569,92 @@ def test_property_checks_match_the_rerun_references():
     assert found["truthtelling"] == 0 and found["supbundle"] >= 1
 
 
+def _outcome(check, *args):
+    """What `check(*args)` returns, or the type and message it raises."""
+    try:
+        return check(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def test_property_checks_raise_what_the_runs_raise():
+    """On lists with entries off the student's menu, unvalidated as library
+    callers may pass them, each check returns or raises what the rerun
+    reference does where it makes a run: the truthful run's error first,
+    then the first trial's.  A student who gets her first entry, and a swap
+    below the truthful seat, make no trial."""
+    rng = np.random.default_rng(8)
+    markets = [random_simple_market(rng) for _ in range(150)]
+    markets += [random_spanning_market(rng) for _ in range(150)]
+    raised = {"truthful": 0, "trial": 0}
+    for instance, rols in markets:
+        rols = _with_ineligible_entries(rng, instance, rols)
+        truthful = _outcome(run_bundle_da, instance, rols)
+        cases = [(property_truthtelling, _truthtelling_by_rerun, i, ())
+                 for i in instance.students if len(rols[i]) >= 2]
+        cases += [(property_supbundle_monotone, _supbundle_by_rerun, i, (b, sup))
+                  for i, b, sup in _supbundle_cases(instance, rols)]
+        for check, reference, i, swap in cases:
+            if isinstance(truthful[0], type):
+                expected = truthful
+            elif _rol_rank(rols[i], truthful[0][i]) < (
+                    rols[i].index(swap[0]) if swap else 1):
+                expected = None
+            else:
+                expected = _outcome(reference, instance, rols, i, *swap)
+            assert _outcome(check, instance, rols, i, *swap) == expected
+            if isinstance(truthful[0], type):
+                raised["truthful"] += 1
+            elif expected is not None and isinstance(expected[0], type):
+                raised["trial"] += 1
+    assert raised["truthful"] >= 1000 and raised["trial"] >= 10
+
+
+def test_property_checks_name_an_unknown_listed_bundle(contested_market):
+    """An unknown bundle in any student's list raises the engine's message,
+    after the checks' own input checks."""
+    rols = {"i1": ["s1"], "i2": ["s2", "zz"], "i3": ["B"]}
+    message = "^student i2: unknown bundle zz$"
+    with pytest.raises(ValueError, match=message):
+        run_bundle_da(contested_market, rols)
+    with pytest.raises(ValueError, match=message):
+        property_truthtelling(contested_market, rols, "i1")
+    with pytest.raises(ValueError, match=message):
+        property_supbundle_monotone(contested_market, rols, "i1", "s1", "B")
+    with pytest.raises(ValueError, match="not in the student's ROL"):
+        property_supbundle_monotone(contested_market, rols, "i2", "s1", "B")
+
+
 @pytest.fixture
 def engine_runs(monkeypatch):
-    """Every engine run the property checks make, as (instance, ROLs), with
-    the truthful-outcome memo emptied first."""
+    """Every market the property checks settle, as (instance, ROL table),
+    with the prepared market emptied first."""
     runs = []
+    settle = audit._settle
 
-    def counted(instance, rols):
-        runs.append((instance, {i: tuple(r) for i, r in rols.items()}))
-        return run_bundle_da(instance, rols)
+    def counted(instance, rol, key, keys):
+        runs.append((instance, {i: tuple(r) for i, r in rol.items()}))
+        return settle(instance, rol, key, keys)
 
-    audit._truthful_matching.cache_clear()
-    monkeypatch.setattr(audit, "run_bundle_da", counted)
+    monkeypatch.setattr(audit, "_prepared", (None,) * 5)
+    monkeypatch.setattr(audit, "_settle", counted)
     return runs
 
 
 def test_memo_reads_no_stale_outcome(contested_market, engine_runs):
     """Mutating the ROL dict between calls, or checking a second instance
-    built from the same document, reaches the engine again."""
+    built from the same document, prepares the market again: its first
+    settle is of the ROLs as they now are."""
     rols = load_json("three_student_overdemand_baseline_rols.json")["rols"]
     failing = ("supbundle", "i1", 2, "s1", None)
     assert property_supbundle_monotone(contested_market, rols, "i1", "s1", "B") == failing
-    rols["i3"] = ["s1"]  # i1 now loses s1 to i3 whatever she lists
-    assert property_supbundle_monotone(contested_market, rols, "i1", "s1", "B") is None
-    rols["i3"] = ["B"]
-    assert property_supbundle_monotone(contested_market, rols, "i1", "s1", "B") == failing
+    for listed, verdict in ((["s1"], None), (["B"], failing)):
+        rols["i3"] = listed  # with s1, i1 loses s1 to i3 whatever she lists
+        before = len(engine_runs)
+        assert property_supbundle_monotone(contested_market, rols, "i1", "s1",
+                                           "B") == verdict
+        assert engine_runs[before] == (contested_market,
+                                       {i: tuple(r) for i, r in rols.items()})
 
     twin = validate_instance(load_json("three_student_overdemand.json"))
     del engine_runs[:]
@@ -647,7 +693,7 @@ def test_supbundle_clause_one_makes_no_trial_run(engine_runs):
     for instance, rols in markets:
         for i, b, sup in _supbundle_cases(instance, rols):
             expected = _supbundle_by_rerun(instance, rols, i, b, sup)
-            truthful = audit._truthful_seat(instance, rols, i)
+            truthful = audit._market(instance, rols)[-1].get(i)
             before = len(engine_runs)
             assert property_supbundle_monotone(instance, rols, i, b, sup) == expected
             first = _rol_rank(rols[i], truthful) < rols[i].index(b)

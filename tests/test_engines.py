@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 import stability_oracle
 from clearing_reference import events, reference_bundle_da, reference_standard_da
-from conftest import build, load_json
+from conftest import FIXTURES, build, load_json
 from manipulation_oracle import profitable_misreports
 from random_markets import (
+    _with_ineligible_entries,
     random_simple_market,
     random_spanning_market,
     school_sets,
@@ -466,6 +467,51 @@ def test_each_application_is_keyed_and_placed_once(monkeypatch):
     assert len(trace.rounds) > 2
     assert set(made.values()) == set(keyed.values()) == set(placed.values()) == {1}
     assert keyed.keys() == placed.keys() == made.keys()
+
+
+def _outcome(run, *args):
+    """What `run(*args)` returns, or the type and message of what it raises."""
+    try:
+        return run(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def test_settling_holds_the_engine_matching():
+    """`_settle` on the ROL table and key `run_bundle_da(instance, rols)`
+    uses holds the seats of its matching, on both random batteries and every
+    fixture market, and again with the key table the first settle filled.
+    On lists with entries off the student's menu, unvalidated as library
+    callers may pass them, it raises what the run raises: the first
+    ineligible holder in canonical order, or the round limit."""
+    rng = np.random.default_rng(24)
+    markets = [random_simple_market(rng) for _ in range(300)]
+    markets += [random_spanning_market(rng) for _ in range(300)]
+    markets += [(instance, _with_ineligible_entries(rng, instance, rols))
+                for instance, rols in markets]
+    for stem in ("two_hierarchy_market", "nested_bundle_market",
+                 "five_student_market", "three_student_overdemand"):
+        instance = build(load_json(f"{stem}.json"))
+        for name in (f"{stem}_rols", f"{stem}_baseline_rols",
+                     f"{stem}_deviation_rols"):
+            if (FIXTURES / f"{name}.json").exists():
+                markets.append((instance, load_json(f"{name}.json")["rols"]))
+    markets.append((instance, {"i1": ["s1", "s2", "B"], "i2": ["B", "s1", "s2"],
+                               "i3": ["s1"]}))
+    raised = Counter()
+    for instance, rols in markets:
+        expected = _outcome(run_bundle_da, instance, rols)
+        if isinstance(expected[0], type):
+            raised[expected[0]] += 1
+        else:
+            expected = {i: b for i, b in expected[0].as_dict().items()
+                        if b is not None}
+        table = engines._read_rols(instance, rols)
+        key, keys = engines._application_key(instance, instance.students), {}
+        assert _outcome(engines._settle, instance, table, key, keys) == expected
+        assert _outcome(engines._settle, instance, table, key, keys) == expected
+    assert len(markets) == 1206
+    assert raised[RuntimeError] >= 1 and raised[ValueError] >= 50
 
 
 # Full engine outputs on a fixed battery: the general engine's digested when

@@ -12,7 +12,9 @@ quartiles, the pairs the change won (ties count for neither), and whether a
 gain may be claimed: the change wins at least nine tenths of the pairs, the
 medians differ by more than the distance between the base's quartiles, and
 no change run is incorrect or fails a larger share of its operations than
-its pair's base run.  The temporary directory is removed when the tool ends,
+its pair's base run.  It also prints the pairs the change lost and whether
+the change is worse: it loses at least nine tenths of the pairs and its
+median is worse than the base's by more than that quartile distance.  The temporary directory is removed when the tool ends,
 and every run has ended by then.
 """
 
@@ -81,14 +83,29 @@ def sound(base_run, change_run):
         <= base_run["failed"] * change_run["attempted"])
 
 
-def verdict(base, change, lower_is_better, all_sound=True):
-    """(pairs won by the change, whether the gain rule holds) for one metric
-    over paired runs; the rule never holds unless every pair is `sound`."""
-    sign = 1 if lower_is_better else -1
+def _rule(base, change, sign):
+    """(pairs where `sign * (base - change)` is positive, whether they are at
+    least nine tenths of the pairs and the medians differ that way by more
+    than the distance between the base's quartiles)."""
     won = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     mid, q1, q3 = _spread(base)
     gap = sign * (mid - median(change))
-    return won, all_sound and 10 * won >= 9 * len(base) and gap > q3 - q1
+    return won, 10 * won >= 9 * len(base) and gap > q3 - q1
+
+
+def verdict(base, change, lower_is_better, all_sound=True):
+    """(pairs won by the change, whether the gain rule holds) for one metric
+    over paired runs; the rule never holds unless every pair is `sound`."""
+    won, holds = _rule(base, change, 1 if lower_is_better else -1)
+    return won, all_sound and holds
+
+
+def regression(base, change, lower_is_better):
+    """(pairs lost by the change, whether it is worse) for one metric: the
+    gain rule turned round, so the change loses at least nine tenths of the
+    pairs and its median is worse than the base's by more than the distance
+    between the base's quartiles."""
+    return _rule(base, change, -1 if lower_is_better else 1)
 
 
 def main(argv=None):
@@ -137,18 +154,20 @@ def main(argv=None):
 
     print(f"\n{args.workload}: {args.pairs} pairs at --seconds {args.seconds:g}")
     print(f"{'metric':<14}{'base median [q1, q3]':<34}{'change median [q1, q3]':<34}"
-          f"{'won':<8}gain rule")
+          f"{'won':<8}{'gain rule':<16}{'lost':<8}worse")
     all_sound = all(map(sound, runs["base"], runs["change"]))
     for metric in metrics:
         name = metric["name"]
         base, change = ([run["metrics"][name]["value"] for run in runs[side]]
                         for side in ("base", "change"))
-        won, holds = verdict(base, change, metric["better"] == "lower",
-                             all_sound)
+        lower = metric["better"] == "lower"
+        won, holds = verdict(base, change, lower, all_sound)
+        lost, worse = regression(base, change, lower)
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*_spread(values))
                  for values in (base, change)]
         print(f"{name:<14}{cells[0]:<34}{cells[1]:<34}{f'{won}/{args.pairs}':<8}"
-              f"{'holds' if holds else 'does not hold'}")
+              f"{'holds' if holds else 'does not hold':<16}{f'{lost}/{args.pairs}':<8}"
+              f"{'worse' if worse else 'not worse'}")
     for side, results in runs.items():
         bad = sum(not r["correct"] or r["failed"] for r in results)
         if bad:
