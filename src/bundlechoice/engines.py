@@ -193,6 +193,7 @@ def _rounds(instance, rol, seats, key, keys):
     `seats`, keyed by `key(i, b)` unless `keys` holds the key already, and
     yields (applications, the students it rejected); those move one entry
     down, and the ones with an entry left make the next round's applications.
+    A run that has not settled within the round limit raises RuntimeError.
     """
     pointer = {}  # student -> her entry now, once a round has rejected her
     proposals = {i: entries[0] for i, entries in rol.items() if entries}

@@ -19,6 +19,18 @@ def build(raw):
     return instance
 
 
+def fixture_markets():
+    """(instance, ROLs) for every ROL document among the fixtures, each with
+    the instance whose file name its own begins with."""
+    markets = []
+    for path in sorted(FIXTURES.glob("*_rols.json")):
+        stem = next(p.stem for p in FIXTURES.glob("*.json")
+                    if path.stem.startswith(p.stem + "_"))
+        markets.append((build(load_json(f"{stem}.json")),
+                        load_json(path.name)["rols"]))
+    return markets
+
+
 @pytest.fixture(scope="session")
 def walkthrough():
     """Eight students, two disjoint hierarchies, ROLs of length two."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import stability_oracle as ref
 from audit_helpers import EnvyPairReport, induced_preference
-from conftest import load_json
+from conftest import fixture_markets, load_json
 from random_markets import (
     _supbundle_cases,
     _with_ineligible_entries,
@@ -549,12 +549,13 @@ def _supbundle_by_rerun(instance, rols, student, b, b_sup):
 def test_property_checks_match_the_rerun_references():
     """Both checks return what rerunning the truthful outcome on every call
     and trying every reordering returns, market by market, as the battery
-    and the benchmark call them.  The engines are strategy-proof, so no
-    reordering helps; a sup-bundle swap can still hurt, first on the 533rd
-    spanning market."""
+    and the benchmark call them, then on every fixture market.  The engines
+    are strategy-proof, so no reordering helps; a sup-bundle swap can still
+    hurt, first on the 533rd spanning market."""
     rng = np.random.default_rng(2)
     markets = [random_simple_market(rng) for _ in range(200)]
     markets += [random_spanning_market(rng) for _ in range(600)]
+    markets += fixture_markets()
     found = {"truthtelling": 0, "supbundle": 0}
     for instance, rols in markets:
         for i in instance.students:

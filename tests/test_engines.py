@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import stability_oracle
 from clearing_reference import events, reference_bundle_da, reference_standard_da
-from conftest import FIXTURES, build, load_json
+from conftest import build, fixture_markets, load_json
 from manipulation_oracle import profitable_misreports
 from random_markets import (
     _with_ineligible_entries,
@@ -489,15 +489,10 @@ def test_settling_holds_the_engine_matching():
     markets += [random_spanning_market(rng) for _ in range(300)]
     markets += [(instance, _with_ineligible_entries(rng, instance, rols))
                 for instance, rols in markets]
-    for stem in ("two_hierarchy_market", "nested_bundle_market",
-                 "five_student_market", "three_student_overdemand"):
-        instance = build(load_json(f"{stem}.json"))
-        for name in (f"{stem}_rols", f"{stem}_baseline_rols",
-                     f"{stem}_deviation_rols"):
-            if (FIXTURES / f"{name}.json").exists():
-                markets.append((instance, load_json(f"{name}.json")["rols"]))
-    markets.append((instance, {"i1": ["s1", "s2", "B"], "i2": ["B", "s1", "s2"],
-                               "i3": ["s1"]}))
+    markets += fixture_markets()
+    contested = build(load_json("three_student_overdemand.json"))
+    markets.append((contested, {"i1": ["s1", "s2", "B"], "i2": ["B", "s1", "s2"],
+                                "i3": ["s1"]}))
     raised = Counter()
     for instance, rols in markets:
         expected = _outcome(run_bundle_da, instance, rols)

@@ -1,4 +1,4 @@
-"""Alternating benchmark pairs of two revisions, judged by the gain rule.
+"""Alternating benchmark pairs of two revisions, judged by the gain and regression rules.
 
     python tools/bench_pairs.py BASE CHANGE --workload small_markets --pairs 10 --seconds 20
 
@@ -14,8 +14,9 @@ medians differ by more than the distance between the base's quartiles, and
 no change run is incorrect or fails a larger share of its operations than
 its pair's base run.  It also prints the pairs the change lost and whether
 the change is worse: it loses at least nine tenths of the pairs and its
-median is worse than the base's by more than that quartile distance.  The temporary directory is removed when the tool ends,
-and every run has ended by then.
+median is worse than the base's by more than that quartile distance.  The
+temporary directory is removed when the tool ends, and every run has ended
+by then.
 """
 
 import argparse

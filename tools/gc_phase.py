@@ -76,8 +76,8 @@ def main(argv=None):
     parser.add_argument("seconds", type=float, nargs="?", default=8.0)
     args = parser.parse_args(argv)
     phases, outside, result = count(args.workload, args.seed, args.seconds)
-    print(f"{args.workload} seed {args.seed}, {args.seconds:g} s: "
-          f"correct={result['correct']} failed={result['failed']}/{result['attempted']}")
+    print(f"{args.workload} seed {args.seed}, {args.seconds:g} s: correct="
+          f"{result['correct']} failed={result['failed']}/{result['attempted']}")
     for phase, (made, holding, full) in phases.items():
         print(f"{phase}: {made} calls, {holding} holding a full collection, "
               f"{full} full collections")
