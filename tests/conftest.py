@@ -19,6 +19,15 @@ def build(raw):
     return instance
 
 
+def result_or_error(call, *args):
+    """What `call(*args)` returns, or the type and message of the ValueError
+    or RuntimeError it raises."""
+    try:
+        return call(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
 def fixture_markets():
     """(instance, ROLs) for every ROL document among the fixtures, each with
     the instance whose file name its own begins with."""

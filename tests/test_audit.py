@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import stability_oracle as ref
 from audit_helpers import EnvyPairReport, induced_preference
-from conftest import fixture_markets, load_json
+from conftest import fixture_markets, load_json, result_or_error
 from random_markets import (
     _supbundle_cases,
     _with_ineligible_entries,
@@ -570,14 +570,6 @@ def test_property_checks_match_the_rerun_references():
     assert found["truthtelling"] == 0 and found["supbundle"] >= 1
 
 
-def _outcome(check, *args):
-    """What `check(*args)` returns, or the type and message it raises."""
-    try:
-        return check(*args)
-    except (ValueError, RuntimeError) as err:
-        return type(err), str(err)
-
-
 def test_property_checks_raise_what_the_runs_raise():
     """On lists with entries off the student's menu, unvalidated as library
     callers may pass them, each check returns or raises what the rerun
@@ -590,7 +582,7 @@ def test_property_checks_raise_what_the_runs_raise():
     raised = {"truthful": 0, "trial": 0}
     for instance, rols in markets:
         rols = _with_ineligible_entries(rng, instance, rols)
-        truthful = _outcome(run_bundle_da, instance, rols)
+        truthful = result_or_error(run_bundle_da, instance, rols)
         cases = [(property_truthtelling, _truthtelling_by_rerun, i, ())
                  for i in instance.students if len(rols[i]) >= 2]
         cases += [(property_supbundle_monotone, _supbundle_by_rerun, i, (b, sup))
@@ -602,8 +594,8 @@ def test_property_checks_raise_what_the_runs_raise():
                     rols[i].index(swap[0]) if swap else 1):
                 expected = None
             else:
-                expected = _outcome(reference, instance, rols, i, *swap)
-            assert _outcome(check, instance, rols, i, *swap) == expected
+                expected = result_or_error(reference, instance, rols, i, *swap)
+            assert result_or_error(check, instance, rols, i, *swap) == expected
             if isinstance(truthful[0], type):
                 raised["truthful"] += 1
             elif expected is not None and isinstance(expected[0], type):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import stability_oracle
 from clearing_reference import events, reference_bundle_da, reference_standard_da
-from conftest import build, fixture_markets, load_json
+from conftest import build, fixture_markets, load_json, result_or_error
 from manipulation_oracle import profitable_misreports
 from random_markets import (
     _with_ineligible_entries,
@@ -469,14 +469,6 @@ def test_each_application_is_keyed_and_placed_once(monkeypatch):
     assert keyed.keys() == placed.keys() == made.keys()
 
 
-def _outcome(run, *args):
-    """What `run(*args)` returns, or the type and message of what it raises."""
-    try:
-        return run(*args)
-    except (ValueError, RuntimeError) as err:
-        return type(err), str(err)
-
-
 def test_settling_holds_the_engine_matching():
     """`_settle` on the ROL table and key `run_bundle_da(instance, rols)`
     uses holds the seats of its matching, on both random batteries and every
@@ -495,7 +487,7 @@ def test_settling_holds_the_engine_matching():
                                 "i3": ["s1"]}))
     raised = Counter()
     for instance, rols in markets:
-        expected = _outcome(run_bundle_da, instance, rols)
+        expected = result_or_error(run_bundle_da, instance, rols)
         if isinstance(expected[0], type):
             raised[expected[0]] += 1
         else:
@@ -503,8 +495,8 @@ def test_settling_holds_the_engine_matching():
                         if b is not None}
         table = engines._read_rols(instance, rols)
         key, keys = engines._application_key(instance, instance.students), {}
-        assert _outcome(engines._settle, instance, table, key, keys) == expected
-        assert _outcome(engines._settle, instance, table, key, keys) == expected
+        assert result_or_error(engines._settle, instance, table, key, keys) == expected
+        assert result_or_error(engines._settle, instance, table, key, keys) == expected
     assert len(markets) == 1206
     assert raised[RuntimeError] >= 1 and raised[ValueError] >= 50
 
