@@ -6,18 +6,12 @@ containing its schools is full), and justified envy in its three shapes —
 same bundle, strictly smaller bundle, strictly larger bundle with every
 intermediate bundle under quota.  Envy needs the claimant to outrank the
 holder at every school of the compared set (the desired bundle's, or the
-smaller held one's), read off the raw per-school orders.  Only a desired
-bundle's rivals can witness envy of it: the holders of the bundle itself, of
-a bundle inside it and of a bundle containing it, its branch of the bundle
-tree.  They are kept as one bar per compared school set: the worst rank one
-school of the set gives any rival compared there.  A claimant ranked at or
-below every bar outranks no rival at that school, so envies none; the rivals
-are listed and compared one by one only when she beats a bar.  The bar is a
-necessary condition at one school, so it is sound whatever the ROLs list and
-whether or not a bundle's schools rank alike: validation makes it tight, not
-correct.  Violations list every IR failure, then every waste, then every
-envy, each by student and ROL slot, and an envious student's witnesses in
-student order.
+smaller held one's), read off the raw per-school orders.  Only the holders
+in a desired bundle's branch of the bundle tree (`_branch`) can witness envy
+of it, and a claim is ruled out against their bars (`_bars`) before any of
+them is compared one by one.  Violations list every IR failure, then every
+waste, then every envy, each by student and ROL slot, and an envious
+student's witnesses in student order.
 
 Seat-level (standard) stability is checked against the preferences a ROL
 induces over individual schools: schools sharing a first-listed bundle form
@@ -40,9 +34,9 @@ that it is the first in canonical scan order; the candidate-count bound
 guards that search alone, and a verdict that needs a witness above it is
 refused, never approximated.  A size-maximality witness must place a student
 the matching leaves out, so the search stops below any node past the last
-such student where none of them is placed.  Every search frees its state by
-reference counting when it returns: its recursion is a module-level
-function, not a closure that refers to itself.
+such student where none of them is placed.  The search is a loop over the
+levels of its path, not a recursion, so its depth is not bounded by the
+interpreter's recursion limit.
 
 The reporting-property checks compare a student's seat under a changed ROL
 with her seat under the submitted ROLs.  Callers check one market student by
@@ -99,27 +93,29 @@ def _prefers_on_all(instance, schools, i, j):
     return all(instance.prefers(s, i, j) for s in schools)
 
 
-def _rivals(instance, holders, full, desired):
-    """(j, case, schools) for every holder who could witness envy of `desired`.
-
-    Only holders of the bundle itself (case 1), of a bundle inside it
-    (case 2) or of a bundle containing it (case 3) can; a case-3 holder is
-    dropped when `desired` or a bundle between the two is full, so the
-    chain is walked up to its first full bundle.  `schools` are the
-    schools at which the envious student must outrank j.  Sorted by student.
-    """
-    tree = instance.tree
-    want = instance.bundles[desired].schools
-    rivals = [(j, 1, want) for j in holders.get(desired, ())]
-    for held in tree.descendants[desired]:
-        if held != desired:
-            have = instance.bundles[held].schools
-            rivals += [(j, 2, have) for j in holders.get(held, ())]
+def _branch(tree, full, desired):
+    """(held bundle, case) for every bundle whose holders could witness envy
+    of `desired`: the bundle itself (case 1), each bundle containing it up
+    the chain (case 3) until a full bundle cuts it, since a case-3 holder is
+    dropped when `desired` or a bundle between the two is full, and each
+    bundle inside it (case 2)."""
     for held in tree.chain[desired]:
-        if held != desired:
-            rivals += [(j, 3, want) for j in holders.get(held, ())]
+        yield held, 1 if held == desired else 3
         if held in full:
             break
+    for held in tree.descendants[desired]:
+        if held != desired:
+            yield held, 2
+
+
+def _rivals(instance, holders, full, desired):
+    """(j, case, schools) for every holder in `desired`'s branch, sorted by
+    student: `schools` are the schools at which the envious student must
+    outrank j: the held bundle's for case 2, the desired bundle's otherwise."""
+    want = instance.bundles[desired].schools
+    rivals = [(j, case, instance.bundles[held].schools if case == 2 else want)
+              for held, case in _branch(instance.tree, full, desired)
+              for j in holders.get(held, ())]
     rivals.sort(key=lambda rival: instance.student_key(rival[0]))
     return rivals
 
@@ -127,34 +123,26 @@ def _rivals(instance, holders, full, desired):
 def _bars(instance, holders, full, desired, lead, worsts):
     """(ranks, bar) pairs, one per compared school, for `desired`'s rivals.
 
-    The rivals `_rivals` finds fall into groups by the school set they are
-    compared on: the desired bundle's for cases 1 and 3, each held bundle's
-    for case 2.  Each group is read at one school s of its set, the `lead`
-    of the bundle whose set it is, and its bar is the worst rank s gives a
-    member; groups read at the same school share the larger bar.  Envy of a
-    member needs the claimant to outrank it at s, so a claimant ranked at or
-    below every bar envies no rival.  That holds at any school of the set,
-    whatever the ROLs list and whether or not the bundle's schools rank
-    alike.  `worsts` memoises, per (held bundle, school), the rank the school
-    gives the bundle's worst holder.
+    The rivals fall into groups by the school set they are compared on: the
+    desired bundle's for cases 1 and 3, each held bundle's for case 2.  Each
+    group is read at one school s of its set, the `lead` of the bundle whose
+    set it is, and its bar is the worst rank s gives a member; groups read
+    at the same school share the larger bar.  Envy of a member needs the
+    claimant to outrank it at s, so a claimant ranked at or below every bar
+    envies no rival.  This needs only that the bars and `_rivals` cover the
+    same holders, which `_branch` gives both.  It holds at any school of the
+    set, whatever the ROLs list and whether or not the bundle's schools rank
+    alike, so validation makes a bar tight, not correct.  `worsts` memoises,
+    per (held bundle, school), the rank the school gives the bundle's worst
+    holder.
     """
-    tree = instance.tree
     bar = {}
-
-    def lift(s, held):
-        if (held, s) not in worsts:
-            worsts[held, s] = max(map(instance.ranks(s).get, holders[held]))
-        bar[s] = max(bar.get(s, -1), worsts[held, s])
-
-    s = lead[desired]
-    for held in tree.chain[desired]:
+    for held, case in _branch(instance.tree, full, desired):
         if held in holders:
-            lift(s, held)
-        if held in full:
-            break
-    for held in tree.descendants[desired]:
-        if held != desired and held in holders:
-            lift(lead[held], held)
+            s = lead[held if case == 2 else desired]
+            if (held, s) not in worsts:
+                worsts[held, s] = max(map(instance.ranks(s).get, holders[held]))
+            bar[s] = max(bar.get(s, -1), worsts[held, s])
     return [(instance.ranks(s), rank) for s, rank in bar.items()]
 
 
@@ -163,12 +151,9 @@ def check_bundle_stability(nu, rols):
 
     Violations come as every ("ir", i), then every ("waste", i, d), then
     every ("envy", i, j, d, case), each group by student and then by ROL
-    slot, and envy witnesses j in student order.  A desired bundle d is
-    compared only with its rivals: the holders of d, of the bundles inside
-    it and of the bundles containing it, found through an index of holders
-    by bundle built once per call; nobody else can witness envy of d.  A
-    claim on d is ruled out by one rank comparison per bar of `_bars`, and
-    d's rivals are listed and compared one by one only when a bar is beaten.
+    slot, and envy witnesses j in student order.  The holders are indexed by
+    bundle once per call, and a desired bundle's rivals are listed and
+    compared one by one only when a claim on it beats one of its bars.
     """
     instance = nu.instance
     rol = _read_rols(instance, rols)
@@ -287,39 +272,51 @@ def _search_assignments(instance, options, accept=None, needed=None):
     ]
     last = max((k for k, (_, counts, _) in enumerate(levels) if counts),
                default=-1)
-    remaining = dict(instance.tree.quota)
-    return _descend(levels, 0, last, needed is None, remaining, {}, accept)
-
-
-def _descend(levels, idx, last, placed, remaining, assignment, accept):
-    """The first qualifying completion of `assignment` from level idx on.
-
-    A module-level function, not a closure over the search, so that nothing
-    refers to itself and every call's state is freed when it returns.
-    `placed` is whether a needed student holds a bundle already.
-    """
-    if idx > last and not placed:
-        return None
-    if idx == len(levels):
-        if accept is None or accept(assignment):
-            return dict(assignment)
-        return None
-    i, counts, choices = levels[idx]
-    for choice, sups in choices:
-        if any(remaining[sup] == 0 for sup in sups):
-            continue
-        for sup in sups:
-            remaining[sup] -= 1
-        assignment[i] = choice
-        found = _descend(levels, idx + 1, last,
-                         placed or (counts and choice is not UNMATCHED),
-                         remaining, assignment, accept)
-        del assignment[i]
-        for sup in sups:
-            remaining[sup] += 1
+    remaining, assignment = dict(instance.tree.quota), {}
+    # Per level of the path: its untried choices, the chain its choice took,
+    # and whether a needed student was placed above it.
+    untried, taken = [None] * len(levels), [()] * len(levels)
+    placed = [needed is None] * (len(levels) + 1)
+    idx = 0
+    while True:
+        found, choices = _descend(levels, idx, last, placed[idx], assignment, accept)
         if found is not None:
             return found
-    return None
+        if choices:
+            untried[idx], taken[idx] = iter(choices), ()
+        else:
+            idx -= 1
+        while idx >= 0:  # the deepest level's next choice that fits
+            for sup in taken[idx]:
+                remaining[sup] += 1
+            for choice, sups in untried[idx]:
+                if all(map(remaining.__getitem__, sups)):
+                    break
+            else:
+                idx -= 1
+                continue
+            for sup in sups:
+                remaining[sup] -= 1
+            i, counts, _ = levels[idx]
+            assignment[i], taken[idx] = choice, sups
+            placed[idx + 1] = placed[idx] or (counts and choice is not UNMATCHED)
+            idx += 1
+            break
+        else:
+            return None
+
+
+def _descend(levels, idx, last, placed, assignment, accept):
+    """Visit the node at level idx: (the witness it is, or None; the
+    choices to try below it, in scan order).  `placed` is whether a needed
+    student holds a bundle already; `assignment` holds the choices above
+    the node, and below it only stale ones, which no leaf reads."""
+    if idx > last and not placed:
+        return None, ()
+    if idx == len(levels):
+        found = accept is None or accept(assignment)
+        return (dict(assignment) if found else None), ()
+    return None, levels[idx][2]
 
 
 def _check_bound(options, bound):
@@ -498,7 +495,7 @@ def find_stable_pareto_improvement(nu, rols, bound=DEFAULT_ORACLE_BOUND):
 
 def _listed(instance, rols, student):
     """The student's ROL as a tuple, once the student is known to exist."""
-    if student not in instance.students:
+    if student not in instance._student_index:
         raise ValueError(f"unknown student {student}")
     return tuple(rols.get(student, ()))
 

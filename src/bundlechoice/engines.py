@@ -298,7 +298,8 @@ def _application_key(instance, tiebreak):
         if simple or all(p is order or p == order
                          for p in (instance.schools[o].priority for o in others)):
             shared[root] = instance.ranks(s)
-    tb_rank = {i: k for k, i in enumerate(tiebreak)}
+    tb_rank = (instance._student_index if tiebreak is instance.students
+               else {i: k for k, i in enumerate(tiebreak)})
     everyone = len(instance.students)
     shape = {}  # bundle -> (its first school's ranks, its chain's levels, position)
     above = {}  # (bundle, school) -> the school's ranks of the bundle's targets
@@ -375,7 +376,7 @@ def run_bundle_da_general(instance, rols, tiebreak=None):
     """
     if tiebreak is None:
         tiebreak = instance.students
-    if sorted(tiebreak) != sorted(instance.students):
+    elif sorted(tiebreak) != sorted(instance.students):
         raise ValueError("tie-break order must be a permutation of the students")
     return _bundle_da(instance, rols, tiebreak, "bundle-da-general")
 

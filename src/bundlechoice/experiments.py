@@ -286,31 +286,34 @@ def assignment_branches(config, rols, order):
         yield weight, assignment
 
 
-def _exp1_terminal_states(config, profile):
-    """Weighted terminal states of one experiment-1 group.
+def _exp1_group(config, branches):
+    """Every weighted terminal state of one experiment-1 group.
 
-    Yields (weight, types, priority order, assignment): every student draws
-    a type fairly and plays the profile.
+    `branches[k]` lists student k's (probability, label, ROL) draws.  Yields
+    (weight, the students' labels, priority order, assignment) for every
+    tuple of draws, every one of the equally likely priority orders and
+    every seat branch of its admission run.
     """
-    students = tuple(range(config.n_students))
-    orders = list(permutations(students))
-    type_sets = [[(config.type_weights[t], t) for t in config.types]] * len(students)
-    for typed in product(*type_sets):
-        types = tuple(t for _, t in typed)
-        for combo in product(*(profile.branches(t) for t in types)):
-            weight = prod(p for p, _ in typed + combo) / len(orders)
-            rols = {i: rol for i, (_, rol) in zip(students, combo)}
-            for order in orders:
-                for w, assignment in assignment_branches(config, rols, order):
-                    yield weight * w, types, order, assignment
+    orders = list(permutations(range(config.n_students)))
+    for combo in product(*branches):
+        weight = prod(p for p, _, _ in combo) / len(orders)
+        labels = tuple(label for _, label, _ in combo)
+        rols = {i: rol for i, (_, _, rol) in enumerate(combo)}
+        for order in orders:
+            for w, assignment in assignment_branches(config, rols, order):
+                yield weight * w, labels, order, assignment
 
 
 def exp1_exact_expectation(config, profile):
-    """Exact group metrics by full enumeration of all randomness."""
+    """Exact group metrics by full enumeration of all randomness: every
+    student draws a payoff type fairly and plays the profile."""
     profile.validate(config)
+    typed = [(config.type_weights[t] * p, t, rol)
+             for t in config.types for p, rol in profile.branches(t)]
     weight, totals = _fold(1, (
         (w, _round_record(config, types, order, assignment))
-        for w, types, order, assignment in _exp1_terminal_states(config, profile)
+        for w, types, order, assignment
+        in _exp1_group(config, [typed] * config.n_students)
     ))
     if weight != 1:
         raise ValueError("terminal-state weights must sum to one")
@@ -322,22 +325,18 @@ def _exp1_seat_distribution(config, profile, rol):
 
     Everyone else draws a type fairly and plays the profile.  Admission reads
     lists, never payoff types, so one other student's (type, branch) draws
-    fold into one weight per list, and the group's into one weight per tuple
-    of the others' lists; each tuple then runs once per priority order and
-    seat branch.  The result serves every payoff type of student 0.
+    fold into one weight per list before the group is enumerated.  The
+    result serves every payoff type of student 0.
     """
     marginal = {}
     for t in config.types:
         for p, other in profile.branches(t):
             marginal[other] = marginal.get(other, 0) + config.type_weights[t] * p
-    orders = list(permutations(range(config.n_students)))
+    others = [(p, None, other) for other, p in marginal.items()]
     seats = {}
-    for combo in product(marginal.items(), repeat=config.n_students - 1):
-        weight = prod(p for _, p in combo) / len(orders)
-        rols = dict(enumerate((rol,) + tuple(other for other, _ in combo)))
-        for order in orders:
-            for w, assignment in assignment_branches(config, rols, order):
-                seats[assignment[0]] = seats.get(assignment[0], 0) + weight * w
+    group = _exp1_group(config, [[(1, None, rol)]] + [others] * (config.n_students - 1))
+    for w, _, _, assignment in group:
+        seats[assignment[0]] = seats.get(assignment[0], 0) + w
     return seats
 
 

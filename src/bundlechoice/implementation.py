@@ -128,37 +128,35 @@ def enumerate_implementations(nu, cap=10000):
 
     Returns (matchings, truncated); `truncated` is True when more than `cap`
     assignments exist, in which case exactly `cap` of them are returned.
+    The roaming students (those admitted by a bundle) are seated one at a
+    time, each at every free school of her bundle in canonical order, in a
+    loop over the roaming students, not a recursion, so the enumeration's
+    depth is not bounded by the interpreter's recursion limit.
     """
     instance = nu.instance
     seats, free, ordered = _stage_plan(nu)
     roaming = [(i, bid) for bid, students in ordered for i in students]
-    results = []
-    truncated = _seat(instance, roaming, 0, seats, free, results, cap)
-    return results, truncated
-
-
-def _seat(instance, roaming, idx, seats, free, results, cap):
-    """Append every completion of `seats` from roaming student idx on to
-    `results`; stop and return True on reaching a node with `cap` found.
-
-    A module-level function, not a closure over the enumeration, so that
-    nothing refers to itself and every call's state is freed when it returns.
-    """
-    if len(results) >= cap:
-        return True
-    if idx == len(roaming):
-        results.append(StandardMatching(instance, dict(seats)))
-        return False
-    i, bid = roaming[idx]
-    pool = _bundle_pool(instance, free, bid)
-    if not pool:
-        raise RuntimeError(f"no free seat left in bundle {bid}")
-    for s in pool:
-        seats[i] = s
-        free[s] -= 1
-        truncated = _seat(instance, roaming, idx + 1, seats, free, results, cap)
-        free[s] += 1
-        seats[i] = None
-        if truncated:
-            return True
-    return False
+    results, untried, idx = [], [None] * len(roaming), 0
+    while len(results) < cap:
+        if idx == len(roaming):
+            results.append(StandardMatching(instance, dict(seats)))
+            idx -= 1
+        else:
+            _, bid = roaming[idx]
+            pool = _bundle_pool(instance, free, bid)
+            if not pool:
+                raise RuntimeError(f"no free seat left in bundle {bid}")
+            untried[idx] = iter(pool)
+        while idx >= 0:  # the deepest roaming student's next school
+            i, _ = roaming[idx]
+            if seats[i] is not None:
+                free[seats[i]] += 1
+            seats[i] = school = next(untried[idx], None)
+            if school is not None:
+                free[school] -= 1
+                idx += 1
+                break
+            idx -= 1
+        else:
+            return results, False
+    return results, True

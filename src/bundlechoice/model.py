@@ -10,6 +10,8 @@ system must satisfy three structural conditions:
 
 Additionally every bundle must be *priority-uniform*: all schools in the
 bundle rank the bundle's eligible students in the same relative order.
+Validation checks this in one pass per bundle, which names the first
+reversed pair of each school that disagrees with the bundle's first.
 
 Identifiers are strings throughout; canonical order is file order.  Trivial
 bundles are synthesized automatically (one per school, id = school id,
@@ -212,8 +214,10 @@ def validate_instance(raw):
     `rol_length` (see the README for the document schema).  Returns a
     validated `Instance` on success and a `ValidationReport` listing every
     violated condition otherwise.  The input is never mutated.  A valid
-    document passes in linear passes; the pairwise scans that name each
-    violation run only when a pass fails or a problem was already reported.
+    document passes in linear passes.  The pairwise nesting scan that names
+    each violation runs only when a pass fails or a problem was already
+    reported; the uniformity pass walks a school's adjacent pairs only for a
+    school that fails it.
     """
     report = _check_shape(raw)
     if not report.ok:
@@ -314,8 +318,7 @@ def validate_instance(raw):
             continue
         if suspect and any(not b.targets <= rank_maps[s].keys() for s in b.schools):
             continue  # unreadable priorities were already reported above
-        if not _uniform(b, rank_maps):
-            _walk_uniformity(report, b, rank_maps)
+        _check_uniformity(report, b, rank_maps)
 
     rol_length = raw.get("rol_length", 1)
     if rol_length < 1:
@@ -379,34 +382,27 @@ def _scan_nesting(report, bundles):
                 )
 
 
-def _uniform(bundle, rank_maps):
-    """True if every school in the bundle orders its targets as its first
-    school (in id order) does.  A school sharing the first school's rank map
-    agrees outright; any other must rank the first school's order of the
-    targets increasingly."""
+def _check_uniformity(report, bundle, rank_maps):
+    """Name, for each school of the bundle that orders its targets unlike
+    the first school (in id order), the first adjacent pair of the first
+    school's order that it reverses.  A school sharing the first school's
+    rank map agrees outright; any other agrees iff it ranks the first
+    school's order of the targets increasingly, and is walked pair by pair
+    only when it does not."""
     base, *others = sorted(bundle.schools)
     first = rank_maps[base]
-    others = [rank_maps[s] for s in others if rank_maps[s] is not first]
+    others = [(s, rank_maps[s]) for s in others if rank_maps[s] is not first]
     targeted = sorted(bundle.targets, key=first.__getitem__) if others else ()
-    projections = (list(map(ranks.__getitem__, targeted)) for ranks in others)
-    return all(projected == sorted(projected) for projected in projections)
-
-
-def _walk_uniformity(report, bundle, rank_maps):
-    """Name, for each school the bundle's first school disagrees with, the
-    first adjacent pair of its projected order that the school reverses."""
-    base, *others = sorted(bundle.schools)
-    targeted = sorted(bundle.targets, key=rank_maps[base].__getitem__)
-    for other in others:
-        ranks = rank_maps[other]
-        for pair in zip(targeted, targeted[1:]):
-            if ranks[pair[0]] > ranks[pair[1]]:
-                i, j = sorted(pair)
-                report.add(
-                    f"bundle {bundle.id}: schools {base} and {other} rank "
-                    f"targeted students {i} and {j} differently"
-                )
-                break
+    for other, ranks in others:
+        projected = list(map(ranks.__getitem__, targeted))
+        if projected == sorted(projected):
+            continue
+        k = next(k for k, pair in enumerate(pairwise(projected)) if pair[0] > pair[1])
+        i, j = sorted(targeted[k:k + 2])
+        report.add(
+            f"bundle {bundle.id}: schools {base} and {other} rank "
+            f"targeted students {i} and {j} differently"
+        )
 
 
 def validate_rols(instance, rols):

@@ -37,10 +37,11 @@ from bundlechoice import (
     parse_profile,
     play_fixed_round,
     round_instance,
+    run_bundle_da,
     sample_scores,
     simulate_rounds,
 )
-from bundlechoice.experiments import assignment_branches
+from bundlechoice.experiments import assignment_branches, serial_admission
 
 F = Fraction
 
@@ -434,6 +435,28 @@ def test_exp2_rounds_replay_as_stable_matchings():
         rols = experiment_rols_for_instance(record["rols"])
         mu = experiment_matching_for_instance(instance, record["assignment"])
         assert check_standard_stability(mu, rols).stable
+
+
+@pytest.mark.parametrize("config", [
+    *(Exp1Config(t) for t in Exp1Config.TREATMENTS),
+    *(Exp2Config(t) for t in Exp2Config.TREATMENTS),
+], ids=lambda config: f"exp{config.exp}-{config.treatment}")
+def test_serial_admission_admits_as_the_engine_does(config):
+    """On every treatment, with random lists (empty ones included) and random
+    priority orders, the experiments' own admission seats every student
+    where bundle deferred acceptance seats her on the round's instance, and
+    holds each bundle's admits in priority order."""
+    rng = np.random.default_rng(9090 + config.exp)
+    lists = [(), *feasible_rols(config)]
+    for _ in range(300):
+        rols = {i: lists[rng.integers(len(lists))] for i in range(config.n_students)}
+        order = tuple(int(i) for i in rng.permutation(config.n_students))
+        outcome, holders, _ = serial_admission(config, rols, order)
+        nu, _ = run_bundle_da(round_instance(config, order),
+                              experiment_rols_for_instance(rols))
+        assert nu.as_dict() == {f"p{i + 1}": outcome[i] for i in outcome}
+        assert holders == {bid: [i for i in order if nu[f"p{i + 1}"] == bid]
+                           for bid in config.bundles}
 
 
 def test_score_sampler_is_deterministic_and_in_range():

@@ -4,11 +4,13 @@ The package's searches are compared with the recursive closures they
 replaced, kept in `search_reference`, on seeded batteries and the fixtures:
 the same verdicts, witnesses and seat assignments, in fewer nodes wherever a
 size-maximality search can stop early, and in none where no augmenting path
-exists.  A last test checks that no library
-entry point leaves cyclic garbage for the collector.
+exists.  One test checks that no library entry point leaves cyclic garbage
+for the collector, and another that the searches run as deep as a market
+has students, through the library and the CLI.
 """
 
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from bundlechoice import (
     enumerate_implementations,
     find_stable_pareto_improvement,
     implement,
+    implements,
     oracle_pareto_undominated_size_maximal,
     oracle_size_maximal,
     property_supbundle_monotone,
@@ -38,6 +41,7 @@ from bundlechoice import (
     run_bundle_da,
     run_bundle_da_general,
     run_bundle_da_simple,
+    run_cli,
     run_standard_da,
 )
 from bundlechoice import audit
@@ -304,3 +308,66 @@ def test_pusm_is_decided_on_800_students_where_size_max_needs_a_search():
         assert oracle_pareto_undominated_size_maximal(nu, rols) == (True, None)
         with pytest.raises(OracleBoundExceeded):
             oracle_size_maximal(nu, rols)
+
+
+def _deep_markets():
+    """Two valid 1,200-student markets whose searches are 1,200 levels deep,
+    as (instance document, ROLs, bundle-matching assignment).  In the first,
+    three one-seat schools share one priority, only i0 lists anything (A)
+    and nobody is matched.  In the second, every student lists and holds
+    bundle AB, whose schools A and B have 600 seats each."""
+    students = [f"i{k}" for k in range(1200)]
+
+    def school(sid, quota):
+        return {"id": sid, "quota": quota, "priority": students}
+
+    lone = {"students": students, "rol_length": 1,
+            "schools": [school("A", 1), school("B", 1), school("C", 1)]}
+    paired = {"students": students, "rol_length": 1,
+              "schools": [school("A", 600), school("B", 600), school("C", 1)],
+              "bundles": [{"id": "AB", "schools": ["A", "B"]}]}
+    return [
+        (lone, {"i0": ["A"]}, {}),
+        (paired, dict.fromkeys(students, ["AB"]), dict.fromkeys(students, "AB")),
+    ]
+
+
+def test_searches_run_as_deep_as_the_market_has_students():
+    """The size oracles find their witness, the improvement search its
+    improvement, and the seat enumeration stops at its cap, each below
+    1,200 levels of the market's students."""
+    (lone, lone_rols, _), (paired, paired_rols, paired_nu) = _deep_markets()
+    instance = build(lone)
+    empty = BundleMatching(instance, {})
+    seated = dict.fromkeys(instance.students)
+    seated["i0"] = "A"
+    for oracle in (oracle_size_maximal, oracle_pareto_undominated_size_maximal):
+        assert oracle(empty, lone_rols) == (False, seated)
+    assert find_stable_pareto_improvement(empty, lone_rols).as_dict() == seated
+
+    nu = BundleMatching(build(paired), paired_nu)
+    matchings, truncated = enumerate_implementations(nu, cap=3)
+    assert truncated and len(matchings) == 3
+    assert matchings[0] == implement(nu, ImplementationPolicy("det"))
+    assert len({tuple(mu.as_dict().items()) for mu in matchings}) == 3
+    assert all(implements(mu, nu) for mu in matchings)
+
+
+@pytest.mark.parametrize("market", (0, 1))
+@pytest.mark.parametrize("command", (["oracle", "size-max"], ["oracle", "pusm"],
+                                     ["improve"]))
+def test_cli_searches_run_as_deep_as_the_market_has_students(
+        market, command, tmp_path, capsys):
+    """Each search command exits 0 on both markets, with nothing on stderr."""
+    doc, rols, assignment = _deep_markets()[market]
+    files = []
+    for name, content in (("instance", doc), ("rols", {"rols": rols}),
+                          ("matching", {"matching": assignment})):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(content))
+    code = run_cli([*command, *map(str, files)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    holds = result["holds"] if command[0] == "oracle" else not result["found"]
+    assert holds is (market == 1)  # only the first market's matching fails

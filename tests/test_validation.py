@@ -291,10 +291,9 @@ def test_linear_passes_give_the_reference_reports(battery):
 
 
 def test_exact_scans_run_only_on_a_hit(battery, monkeypatch):
-    """Neither exact scan runs on a valid document.  The nesting scan runs
-    once when a pass fails or an earlier problem was reported; the
-    uniformity walk runs once per bundle it names."""
-    calls = {"_scan_nesting": 0, "_walk_uniformity": 0}
+    """The nesting scan does not run on a valid document.  It runs once when
+    a pass fails or an earlier problem was reported."""
+    calls = {"_scan_nesting": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -308,22 +307,17 @@ def test_exact_scans_run_only_on_a_hit(battery, monkeypatch):
     for doc, expected in battery:
         calls.update(dict.fromkeys(calls, 0))
         validate_instance(doc)
-        nesting, walks = calls["_scan_nesting"], calls["_walk_uniformity"]
+        nesting = calls["_scan_nesting"]
         if expected[0] == "instance":
-            assert (nesting, walks) == (0, 0)
+            assert nesting == 0
             continue
         problems = expected[1]
         if not model._check_shape(doc).ok:
-            assert (nesting, walks) == (0, 0)
+            assert nesting == 0
             continue
         late = ("rank targeted students", "rol_length")
         earlier = [p for p in problems if not any(text in p for text in late)]
         assert nesting == (1 if earlier else 0), problems
-        named = {p.split(":")[0] for p in problems if late[0] in p}
-        if "duplicate bundle ids" in problems:
-            assert bool(walks) == bool(named), problems
-        else:
-            assert walks == len(named), problems
         kinds = kinds_of(expected)
         hits["nesting scan"] += bool(kinds & {"nesting", "monotonicity"})
         hits["uniformity walk"] += "uniformity" in kinds
