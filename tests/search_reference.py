@@ -1,14 +1,13 @@
 """Reference exhaustive searches: the oracles and the seat enumerator as
 recursive closures that try every node.
 
-The package runs the same scans in the same order on a stack of its own,
-so that their depth is not bounded by the recursion limit, and its
+The package runs the same scans in the same order as loops over their
+levels, so that their depth is not bounded by the recursion limit, and its
 size-maximality searches stop below any node where no witness can lie.  The
-searches here
-descend everywhere and judge each leaf by an `accept` test alone; they return
-the same witnesses and seat assignments, and `test_searches.py` compares the
-two.  Each function takes an optional `nodes` list and appends one entry per
-node it visits.
+searches here descend everywhere and judge each leaf by an `accept` test
+alone; they return the same witnesses and seat assignments, and
+`test_searches.py` compares the two.  Each function takes an optional `nodes`
+list and appends one entry per node it visits.
 """
 
 from bundlechoice import StandardMatching, check_bundle_stability
