@@ -16,18 +16,25 @@ consumed both by bundle admits and by individual admits inside it (a bundle
 reaching zero blocks its schools outright), and bundle admits are assigned
 to the remaining seats inside their bundle uniformly at random at the end.
 
-Exact expectations enumerate every source of randomness with `Fraction`
-weights; the Monte Carlo sampler draws from the same enumerated outcome
+Admission reads only the lists in priority order, so both games are
+computed in rank space: one admission run per distinct tuple of lists by
+priority rank (`_ranked_branches`), relabelled for every round, order and
+student that puts the same lists in the same ranks.  The memo of those runs
+lives for one call.  Exact expectations price student 0's (seat, priority
+position) distribution, whose weights are integers over one common
+denominator; the students are exchangeable, so that prices the whole group.
+The Monte Carlo sampler draws from the same enumerated outcome
 distributions, so the two agree by construction up to sampling error.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import permutations, product
-from math import prod
+from itertools import accumulate, permutations, product
+from math import factorial, lcm, prod
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .model import BundleTree, ValidationReport, validate_instance
 
@@ -40,6 +47,8 @@ EXP2_UTILITIES = {
 }
 
 HALF = Fraction(1, 2)
+EXP1_COMPONENTS = ("payoff", "students", "matched", "top2", "mismatch")
+SCORE_GROUP_LIMIT = 25
 
 
 def _canon(name):
@@ -286,63 +295,91 @@ def assignment_branches(config, rols, order):
         yield weight, assignment
 
 
-def _exp1_group(config, branches):
-    """Every weighted terminal state of one experiment-1 group.
+def _ranked_branches(config, lists, memo):
+    """The seat branches of one tuple of lists in priority rank.
 
-    `branches[k]` lists student k's (probability, label, ROL) draws.  Yields
-    (weight, the students' labels, priority order, assignment) for every
-    tuple of draws, every one of the equally likely priority orders and
-    every seat branch of its admission run.
+    `lists[r]` is the list of the student ranked r (0 = first).  Admission
+    reads only the lists in priority order, so every round, priority order
+    and student that puts the same lists in the same ranks shares this
+    result: a round under order `order` seats student `order[r]` where rank
+    r is seated.  Returns [(probability, {rank: school|None})] in
+    `assignment_branches` order, and runs admission once per tuple `memo`
+    has not seen; the caller keeps `memo` for one call.
     """
-    orders = list(permutations(range(config.n_students)))
-    for combo in product(*branches):
-        weight = prod(p for p, _, _ in combo) / len(orders)
-        labels = tuple(label for _, label, _ in combo)
-        rols = {i: rol for i, (_, _, rol) in enumerate(combo)}
-        for order in orders:
-            for w, assignment in assignment_branches(config, rols, order):
-                yield weight * w, labels, order, assignment
+    branches = memo.get(lists)
+    if branches is None:
+        branches = memo[lists] = list(
+            assignment_branches(config, dict(enumerate(lists)), range(len(lists))))
+    return branches
 
 
-def exp1_exact_expectation(config, profile):
-    """Exact group metrics by full enumeration of all randomness: every
-    student draws a payoff type fairly and plays the profile."""
-    profile.validate(config)
-    typed = [(config.type_weights[t] * p, t, rol)
-             for t in config.types for p, rol in profile.branches(t)]
-    weight, totals = _fold(1, (
-        (w, _round_record(config, types, order, assignment))
-        for w, types, order, assignment
-        in _exp1_group(config, [typed] * config.n_students)
-    ))
-    if weight != 1:
-        raise ValueError("terminal-state weights must sum to one")
-    return _metrics(1, weight, totals)
-
-
-def _exp1_seat_distribution(config, profile, rol):
-    """Student 0's exact seat distribution when she lists `rol`.
+def _exp1_seat_distribution(config, profile, rol, memo):
+    """Student 0's exact (seat, priority position) distribution under `rol`.
 
     Everyone else draws a type fairly and plays the profile.  Admission reads
     lists, never payoff types, so one other student's (type, branch) draws
-    fold into one weight per list before the group is enumerated.  The
-    result serves every payoff type of student 0.
+    fold into one weight per list.  The order is uniform, so student 0 holds
+    each position with equal chance and the others' lists fill the other
+    ranks in every arrangement.  Returns ({(seat, position): count}, total):
+    integer weights over one common denominator, the `lcm` of the list
+    weights' denominators to the power of the other students, times the
+    positions, times `spread`.  A run's seat branches are equally likely; a
+    bundle of m schools places its a admits on f <= m open seats in
+    f!/(f - a)! ways, a divisor of m!, so their count divides `spread`.
     """
     marginal = {}
     for t in config.types:
         for p, other in profile.branches(t):
             marginal[other] = marginal.get(other, 0) + config.type_weights[t] * p
-    others = [(p, None, other) for other, p in marginal.items()]
-    seats = {}
-    group = _exp1_group(config, [[(1, None, rol)]] + [others] * (config.n_students - 1))
-    for w, _, _, assignment in group:
-        seats[assignment[0]] = seats.get(assignment[0], 0) + w
-    return seats
+    scale = lcm(*(p.denominator for p in marginal.values()))
+    weights = [(other, int(p * scale)) for other, p in marginal.items()]
+    spread = prod(factorial(len(members)) for members in config.bundles.values())
+    n = config.n_students
+    counts = {}
+    for combo in product(weights, repeat=n - 1):
+        weight = prod(w for _, w in combo) * spread
+        lists = tuple(other for other, _ in combo)
+        for position in range(n):
+            branches = _ranked_branches(
+                config, lists[:position] + (rol,) + lists[position:], memo)
+            for _, seats in branches:
+                key = seats[position], position
+                counts[key] = counts.get(key, 0) + weight // len(branches)
+    return counts, scale ** (n - 1) * n * spread
 
 
-def _exp1_price(config, payoff_type, seats):
+def _exp1_price(config, payoff_type, distribution):
     """Expected payoff of a seat distribution to one payoff type."""
-    return sum((p * config.payoff(payoff_type, s) for s, p in seats.items()), Fraction(0))
+    counts, total = distribution
+    return Fraction(sum(w * config.payoff(payoff_type, seat)
+                        for (seat, _), w in counts.items()), total)
+
+
+def exp1_exact_expectation(config, profile):
+    """Exact group metrics over all randomness: every student draws a payoff
+    type fairly and plays the profile.
+
+    The students are exchangeable, so each round component is the group
+    size times student 0's expected share, priced from her (seat, priority
+    position) distribution under each list she may play.
+    """
+    profile.validate(config)
+    memo, distributions = {}, {}
+    totals = dict.fromkeys(EXP1_COMPONENTS, 0)
+    for t in config.types:
+        for p, rol in profile.branches(t):
+            if rol not in distributions:
+                distributions[rol] = _exp1_seat_distribution(config, profile, rol, memo)
+            counts, total = distributions[rol]
+            parts = ([w * x for x in _exp1_share(config.payoff(t, seat), seat, position)]
+                     for (seat, position), w in counts.items())
+            weight = config.type_weights[t] * p * config.n_students
+            for name, share in zip(EXP1_COMPONENTS, map(sum, zip(*parts))):
+                totals[name] += weight * Fraction(share, total)
+    weight = totals["students"] / config.n_students
+    if weight != 1:
+        raise ValueError("terminal-state weights must sum to one")
+    return _metrics(1, weight, totals)
 
 
 def exp1_deviation_value(config, profile, deviant_type, deviant_rol):
@@ -355,7 +392,7 @@ def exp1_deviation_value(config, profile, deviant_type, deviant_rol):
     deviant_rol = tuple(deviant_rol)
     deviation = {t: [(1, deviant_rol)] for t in config.types}
     StrategyProfile("per-type", deviation).validate(config)
-    seats = _exp1_seat_distribution(config, profile, deviant_rol)
+    seats = _exp1_seat_distribution(config, profile, deviant_rol, {})
     return _exp1_price(config, deviant_type, seats)
 
 
@@ -374,10 +411,12 @@ def equilibrium_verify(config):
     Enumerates every feasible ROL, computes its exact deviation value, and
     reports whether the equilibrium strategy attains the maximum.  Each list
     is enumerated once: student 0's seat distribution under it does not
-    depend on her payoff type, so it is priced for both types.
+    depend on her payoff type, so it is priced for both types.  The lists
+    share one admission memo.
     """
     profile = equilibrium_profile(config)
-    seats = {rol: _exp1_seat_distribution(config, profile, rol)
+    memo = {}
+    seats = {rol: _exp1_seat_distribution(config, profile, rol, memo)
              for rol in feasible_rols(config)}
     report = {"treatment": config.treatment, "types": {}, "confirmed": True}
     for t in config.types:
@@ -406,19 +445,49 @@ def sample_scores(n, seed):
     be an int or a Generator.  Draws are rounded half to even by Python's
     `round` and checked as a list: a six-student group is too small for
     numpy's per-call overhead to pay.
+
+    `n` is at most `SCORE_GROUP_LIMIT` (25).  A group is redrawn until all
+    its scores differ, about 1/P(all n distinct) times: some 2.8e4 times at
+    n = 25, 7.1e4 at 26, 4.4e9 at 35 and 1.9e13 at 40.
     """
-    if n > 100:
-        raise ValueError("cannot draw more than 100 distinct scores")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if n > SCORE_GROUP_LIMIT:
+        if n > 100:
+            raise ValueError("cannot draw more than 100 distinct scores")
+        raise ValueError(f"cannot draw more than {SCORE_GROUP_LIMIT} distinct scores "
+                         "in one group: redrawing it until all differ takes too long")
+    rng = seed if isinstance(seed, Generator) else default_rng(seed)
+    return _distinct_scores(n, rng.normal)
+
+
+def _distinct_scores(n, normal):
+    """The draws of `sample_scores` from `normal`, a Generator's `normal`
+    or a `_normal_stream`."""
     while True:
-        draw = [round(x) for x in rng.normal(70.0, 10.0, n).tolist()]
+        draw = list(map(round, normal(70.0, 10.0, n).tolist()))
         bad = [k for k, x in enumerate(draw) if not 1 <= x <= 100]
         while bad:
-            for k, x in zip(bad, rng.normal(70.0, 10.0, len(bad)).tolist()):
+            for k, x in zip(bad, normal(70.0, 10.0, len(bad)).tolist()):
                 draw[k] = round(x)
             bad = [k for k in bad if not 1 <= draw[k] <= 100]
         if len(set(draw)) == n:
             return tuple(draw)
+
+
+def _normal_stream(rng, block):
+    """`rng.normal` read from blocks of at least `block` draws, for callers
+    that always pass the same mean and deviation.  `Generator.normal` draws
+    the same values however a run of draws is split into calls."""
+    buffer, start = np.empty(0), 0
+
+    def normal(loc, scale, size):
+        nonlocal buffer, start
+        if start + size > len(buffer):
+            fresh = rng.normal(loc, scale, max(block, size))
+            buffer, start = np.concatenate((buffer[start:], fresh)), 0
+        start += size
+        return buffer[start - size:start]
+
+    return normal
 
 
 def _round_record(config, types, priority, assignment, scores=None):
@@ -442,67 +511,59 @@ def _round_record(config, types, priority, assignment, scores=None):
     return record
 
 
-def _exp1_contribution(record):
-    matched = sum(1 for s in record["assignment"].values() if s is not None)
-    mismatch = sum(
-        1 for i in record["priority"][:2]
-        if record["assignment"][i] not in ("A", "B")
-    )
-    return {
-        "payoff": sum(record["payoffs"].values()),
-        "students": len(record["assignment"]),
-        "matched": matched,
-        "top2": 2,
-        "mismatch": mismatch,
-    }
+def _exp1_share(payoff, seat, position):
+    """One student's share of an experiment-1 round's components, from her
+    payoff, her seat and her priority position (0 = first)."""
+    top2 = position < 2
+    return payoff, 1, seat is not None, top2, top2 and seat not in ("A", "B")
 
 
-def _exp2_contribution(record):
-    order = record["priority"]  # descending score
-    payoffs = record["payoffs"]
+def _exp1_contribution(priority, seats, payoffs):
+    """An experiment-1 round's components: the sums of the students' shares."""
+    shares = [_exp1_share(payoffs[i], seats[i], r) for r, i in enumerate(priority)]
+    return tuple(zip(EXP1_COMPONENTS, map(sum, zip(*shares))))
+
+
+def _exp2_contribution(priority, seats, payoffs):
+    """An experiment-2 round's components; `priority` descends in score."""
+    n = len(priority)
     envy = sum(
         1
-        for a in range(len(order))
-        for b in range(a + 1, len(order))
-        if payoffs[order[a]] < payoffs[order[b]]
+        for a in range(n)
+        for b in range(a + 1, n)
+        if payoffs[priority[a]] < payoffs[priority[b]]
     )
     realized = sum(payoffs.values())
-    free = [
-        s
-        for s in EXP2_UTILITIES
-        if s is not None and s not in record["assignment"].values()
-    ]
+    taken = set(seats.values())
+    free = [s for s in EXP2_UTILITIES if s is not None and s not in taken]
     potential = realized
-    for i in order:
-        if record["assignment"][i] is None and free:
+    for i in priority:
+        if seats[i] is None and free:
             best = max(free, key=EXP2_UTILITIES.get)
             potential += EXP2_UTILITIES[best]
             free.remove(best)
-    matched = sum(1 for s in record["assignment"].values() if s is not None)
-    pairs = len(order) * (len(order) - 1) // 2
-    return {
-        "payoff": realized,
-        "students": len(order),
-        "matched": matched,
-        "envy": envy,
-        "pairs": pairs,
-        "potential": potential,
-    }
+    return (
+        ("payoff", realized),
+        ("students", n),
+        ("matched", sum(1 for s in seats.values() if s is not None)),
+        ("envy", envy),
+        ("pairs", n * (n - 1) // 2),
+        ("potential", potential),
+    )
 
 
-def _fold(kind, pairs):
+def _fold(kind, rounds):
     """Weighted totals of the rounds' contributions, and the summed weight.
 
-    `pairs` yields (weight, record): a count of rounds, or an exact
-    `Fraction` weighting an enumerated terminal state.  Weights are summed
-    per distinct contribution first, so each component is multiplied once
-    per distinct contribution, not once per record.
+    `rounds` yields (count, priority, seats, payoffs).  Counts are summed per
+    distinct contribution first, so each component is multiplied once per
+    distinct contribution, not once per round.
     """
     contribution = _exp1_contribution if kind == 1 else _exp2_contribution
     weights = {}
-    for weight, record in pairs:
-        key = tuple(contribution(record).items())
-        weights[key] = weights.get(key, 0) + weight
+    for count, priority, seats, payoffs in rounds:
+        key = contribution(priority, seats, payoffs)
+        weights[key] = weights.get(key, 0) + count
     totals = {}
     for key, weight in weights.items():
         for name, value in key:
@@ -549,13 +610,15 @@ def compute_metrics(records, kind):
     """
     if kind not in (1, 2):
         raise ValueError(f"unknown experiment kind {kind!r}")
-    return _metrics(kind, *_fold(kind, ((1, record) for record in records)))
+    return _metrics(kind, *_fold(kind, (
+        (1, record["priority"], record["assignment"], record["payoffs"])
+        for record in records)))
 
 
 def _cut_points(branches):
     """Float cut points and outcomes of (probability, outcome) branches."""
     probabilities, outcomes = zip(*branches)
-    cuts = np.cumsum([float(p) for p in probabilities]).tolist()
+    cuts = list(accumulate(float(p) for p in probabilities))
     cuts[-1] = 1.0
     return cuts, outcomes
 
@@ -575,7 +638,7 @@ def _pick_branches(cut_lists, keys, draws):
 
 def _by_rank(rols_by_rank, scores):
     """Priority order by descending score, and each student's ROL by rank."""
-    order = tuple(sorted(range(len(scores)), key=lambda i: -scores[i]))
+    order = tuple(sorted(range(len(scores)), key=scores.__getitem__, reverse=True))
     rols = [None] * len(order)
     for rank, i in enumerate(order):
         rols[i] = tuple(rols_by_rank[rank])
@@ -583,10 +646,13 @@ def _by_rank(rols_by_rank, scores):
 
 
 def _exp1_cells(config, profile, rounds, rng):
-    """Experiment-1 draws grouped into (types, ROLs, priority) cells.
+    """Experiment-1 draws grouped into cells of (types, lists) by rank.
 
-    Returns the distinct cells, each round's cell index and each round's
-    seat draw.
+    A round's cell is its students' payoff types and lists read in priority
+    order.  Returns the distinct cells, each round's cell index, each round's
+    seat draw, and `replay(count)`, which yields the first `count` rounds'
+    payoff types, priority orders and lists by student, rebuilt from the
+    draws.
     """
     n = config.n_students
     perms = list(permutations(range(n)))
@@ -597,18 +663,26 @@ def _exp1_cells(config, profile, rounds, rng):
     samplers = [_cut_points(profile.branches(t)) for t in config.types]
     branches, width = _pick_branches(
         [cuts for cuts, _ in samplers], type_draws, branch_draws)
-    dims = (len(config.types),) * n + (width,) * n + (len(perms),)
-    codes = np.ravel_multi_index((*type_draws.T, *branches.T, perm_draws), dims)
+    orders = np.array(perms)[perm_draws]
+    dims = (len(config.types),) * n + (width,) * n
+    codes = np.ravel_multi_index((*np.take_along_axis(type_draws, orders, 1).T,
+                                  *np.take_along_axis(branches, orders, 1).T), dims)
     unique, cell_of = np.unique(codes, return_inverse=True)
-    cells = []
-    for index in zip(*(part.tolist() for part in np.unravel_index(unique, dims))):
-        types, picks = index[:n], index[n:2 * n]
-        cells.append((
-            tuple(config.types[k] for k in types),
-            tuple(samplers[k][1][b] for k, b in zip(types, picks)),
-            perms[index[-1]],
-        ))
-    return cells, cell_of, seat_draws
+
+    def cell(types, picks):
+        return (tuple(config.types[k] for k in types),
+                tuple(samplers[k][1][b] for k, b in zip(types, picks)))
+
+    cells = [cell(index[:n], index[n:])
+             for index in zip(*(part.tolist() for part in np.unravel_index(unique, dims)))]
+
+    def replay(count):
+        for types, picks, p in zip(type_draws[:count].tolist(), branches[:count].tolist(),
+                                   perm_draws[:count].tolist()):
+            types, rols = cell(types, picks)
+            yield types, perms[p], rols, None
+
+    return cells, cell_of, seat_draws, replay
 
 
 def _exp2_cells(config, profile, rounds, rng):
@@ -616,11 +690,20 @@ def _exp2_cells(config, profile, rounds, rng):
 
     Priorities follow the scores and payoffs are common, so a round seen by
     score rank is always the by-rank ROLs under the identity priority.
+    `replay` draws the logged rounds' scores after the seat draws, from one
+    stream of the generator's normal draws.
     """
     n = config.n_students
     rols = tuple(tuple(profile.rol_by_rank(rank)) for rank in range(n))
     seat_draws = rng.random(rounds)
-    return [(None, rols, tuple(range(n)))], np.zeros(rounds, dtype=np.intp), seat_draws
+
+    def replay(count):
+        normal = _normal_stream(rng, 2 * n * count)
+        for _ in range(count):
+            scores = _distinct_scores(n, normal)
+            yield (None, *_by_rank(rols, scores), scores)
+
+    return [(None, rols)], np.zeros(rounds, dtype=np.intp), seat_draws, replay
 
 
 def simulate_rounds(config, profile, rounds, seed, log_cap=100):
@@ -632,48 +715,41 @@ def simulate_rounds(config, profile, rounds, seed, log_cap=100):
     draws distinct scores and plays the by-rank profile with priorities
     descending in score.
 
-    Rounds are counted per outcome cell (types, ROLs and priority) and per
-    seat branch of the cell, and each distinct (cell, branch) is folded
-    once, weighted by its count.  Experiment 2 is folded in rank space: no
-    metric reads a score, so all its rounds share one cell, and scores are
-    drawn only for the logged rounds, after the seat draws, as those rounds
-    always drew them.
+    Rounds are folded by priority rank: a round's cell is its payoff types
+    and lists in priority order, and admission runs once per distinct tuple
+    of lists (`_ranked_branches`).  Rounds are counted per cell and seat
+    branch, and each distinct (cell, branch) is folded once by its
+    contribution, weighted by its count.  No experiment-2 metric reads a
+    score, so all its rounds share one cell.  Logged rounds are rebuilt by
+    student: experiment 1's from its draws, experiment 2's from scores drawn
+    after the seat draws, as those rounds always drew them.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     profile.validate(config)
-    rng = np.random.default_rng(seed)
-    cells, cell_of, seat_draws = (_exp1_cells if config.exp == 1 else _exp2_cells)(
-        config, profile, rounds, rng
-    )
-    seats = {}
-    for _, rols, priority in cells:
-        if (rols, priority) not in seats:
-            seats[rols, priority] = _cut_points(
-                assignment_branches(config, dict(enumerate(rols)), priority))
-    tables = [seats[rols, priority] for _, rols, priority in cells]
-    branch_of, width = _pick_branches(
-        [cuts for cuts, _ in tables], cell_of, seat_draws)
+    rng = default_rng(seed)
+    cells, cell_of, seat_draws, replay = (
+        _exp1_cells if config.exp == 1 else _exp2_cells)(config, profile, rounds, rng)
+    memo = {}
+    tables = [_cut_points(_ranked_branches(config, lists, memo)) for _, lists in cells]
+    branch_of, width = _pick_branches([cuts for cuts, _ in tables], cell_of, seat_draws)
+    ranks = range(config.n_students)
     counted = []
     for code, count in enumerate(np.bincount(cell_of * width + branch_of).tolist()):
         if count:
             c, branch = divmod(code, width)
-            types, _, priority = cells[c]
-            record = _round_record(config, types, priority, tables[c][1][branch])
-            counted.append((count, record))
+            types, seats = cells[c][0], tables[c][1][branch]
+            payoffs = {r: config.payoff(None if types is None else types[r], seat)
+                       for r, seat in seats.items()}
+            counted.append((count, ranks, seats, payoffs))
     metrics = _metrics(config.exp, *_fold(config.exp, counted))
 
     log = []
-    for r in range(min(rounds, log_cap)):
-        c = cell_of[r]
-        types, rols, priority = cells[c]
-        assignment = tables[c][1][branch_of[r]]
-        scores = None
-        if config.exp == 2:
-            scores = sample_scores(config.n_students, rng)
-            priority, rols = _by_rank(rols, scores)
-            assignment = {i: assignment[rank] for rank, i in enumerate(priority)}
-        record = _round_record(config, types, priority, assignment, scores)
+    logged = max(0, min(rounds, log_cap))
+    for (types, priority, rols, scores), c, branch in zip(
+            replay(logged), cell_of[:logged].tolist(), branch_of[:logged].tolist()):
+        seats = tables[c][1][branch].values()
+        record = _round_record(config, types, priority, dict(zip(priority, seats)), scores)
         record["rols"] = dict(enumerate(rols))
         log.append(record)
     return metrics, log

@@ -13,6 +13,8 @@ distance.
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_pairs  # noqa: E402
@@ -80,3 +82,11 @@ def test_the_better_direction_decides_what_is_worse():
     change = [b - 0.06 for b in BASE]
     assert bench_pairs.regression(BASE, change, lower_is_better=True) == (0, False)
     assert bench_pairs.regression(BASE, change, lower_is_better=False) == (10, True)
+
+
+def test_the_median_change_is_in_percent_of_the_base_median():
+    change = [b * 0.7 for b in BASE]  # medians 0.445 and 0.3115
+    assert bench_pairs.median_change(BASE, change) == pytest.approx(-30.0)
+    assert bench_pairs.median_change(change, BASE) == pytest.approx(100 * 0.3 / 0.7)
+    assert bench_pairs.median_change(BASE, BASE) == 0
+    assert bench_pairs.median_change([0.0, 0.0], [1.0, 2.0]) is None

@@ -13,7 +13,9 @@ from itertools import permutations, product
 from math import prod
 from pathlib import Path
 
+import exact_reference
 import exp1_oracle as oracle
+import monte_carlo_reference
 import numpy as np
 import pytest
 from conftest import FIXTURES
@@ -41,7 +43,15 @@ from bundlechoice import (
     sample_scores,
     simulate_rounds,
 )
-from bundlechoice.experiments import assignment_branches, serial_admission
+from bundlechoice import experiments
+from bundlechoice.experiments import (
+    SCORE_GROUP_LIMIT,
+    _distinct_scores,
+    _normal_stream,
+    _ranked_branches,
+    assignment_branches,
+    serial_admission,
+)
 
 F = Fraction
 
@@ -437,10 +447,13 @@ def test_exp2_rounds_replay_as_stable_matchings():
         assert check_standard_stability(mu, rols).stable
 
 
-@pytest.mark.parametrize("config", [
+ALL_CONFIGS = pytest.mark.parametrize("config", [
     *(Exp1Config(t) for t in Exp1Config.TREATMENTS),
     *(Exp2Config(t) for t in Exp2Config.TREATMENTS),
 ], ids=lambda config: f"exp{config.exp}-{config.treatment}")
+
+
+@ALL_CONFIGS
 def test_serial_admission_admits_as_the_engine_does(config):
     """On every treatment, with random lists (empty ones included) and random
     priority orders, the experiments' own admission seats every student
@@ -457,6 +470,128 @@ def test_serial_admission_admits_as_the_engine_does(config):
         assert nu.as_dict() == {f"p{i + 1}": outcome[i] for i in outcome}
         assert holders == {bid: [i for i in order if nu[f"p{i + 1}"] == bid]
                            for bid in config.bundles}
+
+
+@ALL_CONFIGS
+def test_ranked_branches_relabel_to_per_order_admission(config):
+    """Admission in rank space, relabelled by the priority order, gives the
+    per-order admission's weights, seats and branch order, on random lists
+    (empty ones, bundle entries and lists several students share).  Each
+    tuple of ranked lists is placed under two random orders, so the second
+    reads the memo the first filled."""
+    rng = np.random.default_rng(4040 + config.exp)
+    lists = [(), *feasible_rols(config)]
+    n = config.n_students
+    memo = {}
+    for case in range(300):
+        pool = lists if case % 2 else [lists[k] for k in rng.choice(len(lists), 2)]
+        ranked = tuple(pool[k] for k in rng.integers(len(pool), size=n))
+        for _ in range(2):
+            order = tuple(int(i) for i in rng.permutation(n))
+            rols = {i: ranked[r] for r, i in enumerate(order)}
+            relabelled = [(w, list(zip(order, seats.values())))
+                          for w, seats in _ranked_branches(config, ranked, memo)]
+            expected = [(w, list(seats.items()))
+                        for w, seats in assignment_branches(config, rols, order)]
+            assert relabelled == expected, (rols, order)
+    assert len(memo) <= 300
+
+
+def _admission_runs(monkeypatch):
+    """A list that records each `serial_admission` run's lists in priority
+    order, and asserts that the run is in rank space."""
+    runs = []
+
+    def counted(config, rols, order):
+        order = tuple(order)
+        assert order == tuple(range(config.n_students))
+        runs.append(tuple(rols.get(i, ()) for i in order))
+        return serial_admission(config, rols, order)
+
+    monkeypatch.setattr(experiments, "serial_admission", counted)
+    return runs
+
+
+def _mixed_profile(config, rng, most=3):
+    """A random per-type profile: each type plays one to `most` feasible
+    lists with random exact probabilities."""
+    lists = feasible_rols(config)
+    strategies = {}
+    for t in config.types:
+        picks = rng.choice(len(lists), size=rng.integers(1, most + 1), replace=False)
+        weights = rng.integers(1, 6, size=len(picks)).tolist()
+        strategies[t] = [(F(w, sum(weights)), lists[k]) for w, k in zip(weights, picks)]
+    return StrategyProfile("per-type", strategies).validate(config)
+
+
+def test_admission_runs_once_per_ranked_tuple_within_a_call(monkeypatch):
+    """Within one `simulate_rounds`, `equilibrium_verify` or
+    `exp1_exact_expectation` call, admission runs at most once per distinct
+    tuple of ranked lists; a repeated identical call runs it as often again,
+    so no memo outlives its call."""
+    runs = _admission_runs(monkeypatch)
+    empirical = parse_profile(FIXTURES / "profiles" / "strict_bundle_empirical.json")
+    strict = Exp1Config("strict-bundle")
+    calls = [
+        lambda: simulate_rounds(strict, equilibrium_profile(strict), 2000, 7),
+        lambda: simulate_rounds(strict, empirical.validate(strict), 2000, 7),
+        lambda: simulate_rounds(Exp2Config("indiff-bundle"), StrategyProfile(
+            "by-rank", ABC_LISTING).validate(Exp2Config("indiff-bundle")), 500, 7),
+        lambda: exp1_exact_expectation(strict, empirical.validate(strict)),
+        lambda: exp1_exact_expectation(
+            Exp1Config("nobundle-two"), _mixed_profile(
+                Exp1Config("nobundle-two"), np.random.default_rng(3))),
+        *(lambda t=t: equilibrium_verify(Exp1Config(t)) for t in TABLE_1),
+    ]
+    for call in calls:
+        runs.clear()
+        call()
+        first = list(runs)
+        assert first and len(first) == len(set(first))
+        runs.clear()
+        call()
+        assert runs == first
+
+
+@pytest.mark.parametrize("treatment", sorted(TABLE_1))
+def test_exact_tables_equal_the_full_enumeration(treatment):
+    """On random mixed per-type profiles, the exact table and every
+    deviation value equal the enumeration of every student, order and seat
+    branch in `tests/exact_reference.py`, as `Fraction`s."""
+    config = Exp1Config(treatment)
+    rng = np.random.default_rng(sorted(TABLE_1).index(treatment))
+    for _ in range(15):
+        profile = _mixed_profile(config, rng)
+        assert (exp1_exact_expectation(config, profile).exact
+                == exact_reference.exact_expectation(config, profile).exact)
+        for t in config.types:
+            for rol in feasible_rols(config):
+                assert (exp1_deviation_value(config, profile, t, rol)
+                        == exact_reference.deviation_value(config, profile, t, rol))
+
+
+def _exp1_monte_carlo_cases():
+    """The frozen experiment-1 runs, then random mixed profiles."""
+    for exp, treatment, name, rounds, _ in FROZEN_MONTE_CARLO:
+        if exp == 1:
+            yield (*_frozen_run(exp, treatment, name), rounds, 2025)
+    rng = np.random.default_rng(77)
+    for k in range(12):
+        config = Exp1Config(sorted(TABLE_1)[k % 4])
+        yield config, _mixed_profile(config, rng), (1, 37, 600)[k % 3], k
+
+
+def test_exp1_monte_carlo_by_rank_equals_the_student_space_fold():
+    """Folded by priority rank, experiment-1 Monte Carlo gives the components
+    and the log of the per-student cells of `tests/monte_carlo_reference.py`."""
+    for config, profile, rounds, seed in _exp1_monte_carlo_cases():
+        for log_cap in (100, 0):
+            metrics, log = simulate_rounds(config, profile, rounds, seed, log_cap)
+            components, ref_log = monte_carlo_reference.simulate_exp1(
+                config, profile, rounds, seed, log_cap)
+            assert metrics.rounds == rounds
+            assert metrics.components == components
+            assert log == ref_log
 
 
 def test_score_sampler_is_deterministic_and_in_range():
@@ -484,6 +619,51 @@ def test_score_stream_matches_the_numpy_sampler():
             assert ours.normal() == ref.normal()
     assert redraws["range"] >= 50
     assert redraws["collision"] >= 1000
+
+
+def test_exp2_logs_draw_scores_as_per_round_calls_after_the_seat_draws():
+    """The logged rounds read their scores from one stream of normal draws;
+    they equal one numpy-sampler call per logged round made after the seat
+    draws, over seeds that reach both the out-of-range and the collision
+    redraw."""
+    config = Exp2Config("strict-bundle")
+    profile = StrategyProfile("by-rank", DEF_LISTING).validate(config)
+    redraws = {}
+    for seed in range(40):
+        rounds = (60, 150)[seed % 2]
+        _, log = simulate_rounds(config, profile, rounds, seed)
+        rng = np.random.default_rng(seed)
+        rng.random(rounds)
+        expected = [reference_sample_scores(6, rng, redraws)
+                    for _ in range(min(rounds, 100))]
+        assert [tuple(record["scores"].values()) for record in log] == expected
+    assert redraws["range"] >= 1
+    assert redraws["collision"] >= 100
+
+
+def test_normal_stream_draws_as_the_generator_does():
+    """Blocks too small for one group make the stream refill mid-group;
+    the groups are still the generator's own."""
+    for block in (1, 5, 13, 600):
+        ours, ref = np.random.default_rng(block), np.random.default_rng(block)
+        normal = _normal_stream(ours, block)
+        for _ in range(200):
+            assert _distinct_scores(6, normal) == reference_sample_scores(6, ref)
+
+
+def test_score_groups_above_the_limit_are_refused_at_once():
+    """A group past the limit would be redrawn some 7e4 times or more before
+    its scores all differ; it is refused before any draw."""
+    assert SCORE_GROUP_LIMIT == 25
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for n in (SCORE_GROUP_LIMIT + 1, 40, 100):
+        with pytest.raises(ValueError, match="more than 25 distinct scores in one group"):
+            sample_scores(n, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="more than 100"):
+        sample_scores(101, rng)
+    assert sample_scores(0, 0) == ()
 
 
 def test_python_round_breaks_ties_like_numpy_rint():

@@ -8,7 +8,8 @@ temporary directory and refuses to go on unless their `benchmarks/` and
 committed, once on each side with seed `--first-seed` + k, untraced; the
 base runs first in even pairs and the change in odd ones.  Prints every run,
 then for each end-to-end metric of `BENCHMARK.json` each side's median and
-quartiles, the pairs the change won (ties count for neither), and whether a
+quartiles, the change's median against the base's in percent, the pairs the
+change won (ties count for neither), and whether a
 gain may be claimed: the change wins at least nine tenths of the pairs, the
 medians differ by more than the distance between the base's quartiles, and
 no change run is incorrect or fails a larger share of its operations than
@@ -109,6 +110,13 @@ def regression(base, change, lower_is_better):
     return _rule(base, change, -1 if lower_is_better else 1)
 
 
+def median_change(base, change):
+    """How far the change's median lies from the base's, in percent of the
+    base's; None when the base's median is zero."""
+    mid = median(base)
+    return None if mid == 0 else 100 * (median(change) - mid) / mid
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the parent revision")
@@ -155,7 +163,7 @@ def main(argv=None):
 
     print(f"\n{args.workload}: {args.pairs} pairs at --seconds {args.seconds:g}")
     print(f"{'metric':<14}{'base median [q1, q3]':<34}{'change median [q1, q3]':<34}"
-          f"{'won':<8}{'gain rule':<16}{'lost':<8}worse")
+          f"{'median':<10}{'won':<8}{'gain rule':<16}{'lost':<8}worse")
     all_sound = all(map(sound, runs["base"], runs["change"]))
     for metric in metrics:
         name = metric["name"]
@@ -166,7 +174,9 @@ def main(argv=None):
         lost, worse = regression(base, change, lower)
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*_spread(values))
                  for values in (base, change)]
-        print(f"{name:<14}{cells[0]:<34}{cells[1]:<34}{f'{won}/{args.pairs}':<8}"
+        shift = median_change(base, change)
+        shift = "n/a" if shift is None else f"{shift:+.1f}%"
+        print(f"{name:<14}{cells[0]:<34}{cells[1]:<34}{shift:<10}{f'{won}/{args.pairs}':<8}"
               f"{'holds' if holds else 'does not hold':<16}{f'{lost}/{args.pairs}':<8}"
               f"{'worse' if worse else 'not worse'}")
     for side, results in runs.items():
