@@ -34,7 +34,6 @@ from itertools import accumulate, permutations, product
 from math import factorial, lcm, prod
 
 import numpy as np
-from numpy.random import Generator, default_rng
 
 from .model import BundleTree, ValidationReport, validate_instance
 
@@ -455,7 +454,7 @@ def sample_scores(n, seed):
             raise ValueError("cannot draw more than 100 distinct scores")
         raise ValueError(f"cannot draw more than {SCORE_GROUP_LIMIT} distinct scores "
                          "in one group: redrawing it until all differ takes too long")
-    rng = seed if isinstance(seed, Generator) else default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return _distinct_scores(n, rng.normal)
 
 
@@ -727,7 +726,7 @@ def simulate_rounds(config, profile, rounds, seed, log_cap=100):
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     profile.validate(config)
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     cells, cell_of, seat_draws, replay = (
         _exp1_cells if config.exp == 1 else _exp2_cells)(config, profile, rounds, rng)
     memo = {}
