@@ -372,9 +372,9 @@ def exp1_exact_expectation(config, profile):
             counts, total = distributions[rol]
             parts = ([w * x for x in _exp1_share(config.payoff(t, seat), seat, position)]
                      for (seat, position), w in counts.items())
-            weight = config.type_weights[t] * p * config.n_students
+            mass = config.type_weights[t] * p * config.n_students
             for name, share in zip(EXP1_COMPONENTS, map(sum, zip(*parts))):
-                totals[name] += weight * Fraction(share, total)
+                totals[name] += mass * Fraction(share, total)
     weight = totals["students"] / config.n_students
     if weight != 1:
         raise ValueError("terminal-state weights must sum to one")
@@ -489,6 +489,13 @@ def _normal_stream(rng, block):
     return normal
 
 
+def _payoffs(config, types, seats):
+    """Each student's payoff from her seat; `types` gives experiment-1
+    payoff types by student, and is None in experiment 2."""
+    return {i: config.payoff(None if types is None else types[i], seat)
+            for i, seat in seats.items()}
+
+
 def _round_record(config, types, priority, assignment, scores=None):
     """One round: priority (best first), seats and the payoff they give.
 
@@ -498,10 +505,7 @@ def _round_record(config, types, priority, assignment, scores=None):
     record = {
         "priority": tuple(priority),
         "assignment": dict(assignment),
-        "payoffs": {
-            i: config.payoff(None if types is None else types[i], assignment[i])
-            for i in range(config.n_students)
-        },
+        "payoffs": _payoffs(config, types, assignment),
     }
     if scores is not None:
         record["scores"] = dict(enumerate(scores))
@@ -737,10 +741,8 @@ def simulate_rounds(config, profile, rounds, seed, log_cap=100):
     for code, count in enumerate(np.bincount(cell_of * width + branch_of).tolist()):
         if count:
             c, branch = divmod(code, width)
-            types, seats = cells[c][0], tables[c][1][branch]
-            payoffs = {r: config.payoff(None if types is None else types[r], seat)
-                       for r, seat in seats.items()}
-            counted.append((count, ranks, seats, payoffs))
+            seats = tables[c][1][branch]
+            counted.append((count, ranks, seats, _payoffs(config, cells[c][0], seats)))
     metrics = _metrics(config.exp, *_fold(config.exp, counted))
 
     log = []
