@@ -9,12 +9,13 @@ utilities, integer exam scores drawn from a rounded normal(70, 10) on
 [1, 100], priorities descending in score, and two-slot lists; treatments add
 bundle ABC or DEF.
 
-Admission follows the experimental instructions literally: students are
-processed in priority order, each takes her best listed option that still
-has a slot, a bundle's slots equal the total seats of its schools and are
-consumed both by bundle admits and by individual admits inside it (a bundle
-reaching zero blocks its schools outright), and bundle admits are assigned
-to the remaining seats inside their bundle uniformly at random at the end.
+Admission is bundle deferred acceptance under the round's common priority,
+which is serial dictatorship: students are placed in priority order into the
+engines' `_Seats`, each holding the best listed option every bundle around
+which still has a seat (a bundle's seats are the total seats of its schools,
+taken by bundle admits and by individual admits inside it alike).  Bundle
+admits are then assigned to the open seats inside their bundle uniformly at
+random.
 
 Admission reads only the lists in priority order, so both games are
 computed in rank space: one admission run per distinct tuple of lists by
@@ -32,9 +33,11 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, permutations, product
 from math import factorial, lcm, prod
+from numbers import Real
 
 import numpy as np
 
+from .engines import _Seats
 from .model import BundleTree, ValidationReport, validate_instance
 
 EXP1_UTILITIES = {
@@ -233,65 +236,29 @@ class OutcomeMetrics:
         return [(n, getattr(self, n)) for n in names if getattr(self, n) is not None]
 
 
-def serial_admission(config, rols, order):
-    """Process students in priority order, each taking her best open option.
+def serial_admission(config, lists):
+    """Bundle deferred acceptance under one common priority order.
 
-    Returns (outcome, holders, free) where outcome maps student -> school id,
-    bundle id, or None; holders maps bundle id -> admitted students in order;
-    free maps bundle id -> schools whose seat is still open for the final
-    within-bundle assignment.
+    `lists[r]` is the list of the student ranked r (0 = first).  Each rank's
+    entries are placed, in order, into the engines' `_Seats`, keyed by the
+    rank.  Keys rise with rank, so a placement is admitted or refused and
+    never displaces a holder: the first run of deferred acceptance settles.
+    Returns (held, free): held maps each seated rank to its school or bundle,
+    in rank order; free maps each bundle to its schools with a seat still
+    open for the within-bundle assignment.
     """
-    chains = config.tree.chain
-    left = dict(config.tree.quota)
-    outcome = {}
-    holders = {bid: [] for bid in config.bundles}
-    for i in order:
-        outcome[i] = None
-        for option in rols.get(i, ()):
-            chain = chains[option]
-            if all(map(left.get, chain)):  # no bundle around it is full
-                for a in chain:
-                    left[a] -= 1
-                if option in holders:
-                    holders[option].append(i)
-                outcome[i] = option
+    tree = config.tree
+    keys = {(r, option): r for r, entries in enumerate(lists) for option in entries}
+    seats = _Seats(tree.quota, tree.chain, keys)
+    for r, entries in enumerate(lists):
+        for option in entries:
+            if seats.place(r, option) is None:
                 break
-    seated = list(outcome.values())
     free = {
-        bid: tuple(s for s in members if config.quota[s] > seated.count(s))
+        bid: tuple(s for s in members if len(seats.holders[s]) < tree.quota[s])
         for bid, members in config.bundles.items()
     }
-    return outcome, holders, free
-
-
-def assignment_branches(config, rols, order):
-    """Every final seat assignment of one admission run, with probabilities.
-
-    Enumerates the uniform within-bundle assignments of bundle admits to the
-    open seats of their bundle; yields (probability, {student: school|None}).
-    """
-    outcome, holders, free = serial_admission(config, rols, order)
-    base = {
-        i: (opt if opt not in config.bundles else None)
-        for i, opt in outcome.items()
-    }
-    per_bundle = []
-    for bid, admitted in holders.items():
-        if not admitted:
-            continue
-        choices = list(permutations(free[bid], len(admitted)))
-        if not choices:
-            raise ValueError(f"bundle {bid} admitted more students than open seats")
-        per_bundle.append((admitted, choices))
-    weight = Fraction(1)
-    for _, choices in per_bundle:
-        weight /= len(choices)
-    for combo in product(*(choices for _, choices in per_bundle)):
-        assignment = dict(base)
-        for (admitted, _), schools in zip(per_bundle, combo):
-            for i, s in zip(admitted, schools):
-                assignment[i] = s
-        yield weight, assignment
+    return seats.held, free
 
 
 def _ranked_branches(config, lists, memo):
@@ -301,14 +268,29 @@ def _ranked_branches(config, lists, memo):
     reads only the lists in priority order, so every round, priority order
     and student that puts the same lists in the same ranks shares this
     result: a round under order `order` seats student `order[r]` where rank
-    r is seated.  Returns [(probability, {rank: school|None})] in
-    `assignment_branches` order, and runs admission once per tuple `memo`
-    has not seen; the caller keeps `memo` for one call.
+    r is seated.  Each bundle's admits, in rank order, take every ordered
+    choice of its open seats with equal chance, and the bundles choose
+    independently, in menu order.  Returns [(probability, {rank:
+    school|None})], and runs admission once per tuple `memo` has not seen;
+    the caller keeps `memo` for one call.
     """
     branches = memo.get(lists)
     if branches is None:
-        branches = memo[lists] = list(
-            assignment_branches(config, dict(enumerate(lists)), range(len(lists))))
+        held, free = serial_admission(config, lists)
+        seated = {r: None if held.get(r) in config.bundles else held.get(r)
+                  for r in range(len(lists))}
+        admits = []
+        for bid in config.bundles:
+            ranks = [r for r, option in held.items() if option == bid]
+            if ranks:
+                admits.append((ranks, list(permutations(free[bid], len(ranks)))))
+        weight = Fraction(1, prod(len(choices) for _, choices in admits))
+        branches = memo[lists] = []
+        for combo in product(*(choices for _, choices in admits)):
+            seats = dict(seated)
+            for (ranks, _), schools in zip(admits, combo):
+                seats.update(zip(ranks, schools))
+            branches.append((weight, seats))
     return branches
 
 
@@ -388,6 +370,9 @@ def exp1_deviation_value(config, profile, deviant_type, deviant_rol):
     (`_exp1_seat_distribution`) for her payoff type.
     """
     profile.validate(config)
+    if deviant_type not in config.types:
+        raise ValueError(f"unknown payoff type {deviant_type!r} "
+                         f"(expected one of {', '.join(config.types)})")
     deviant_rol = tuple(deviant_rol)
     deviation = {t: [(1, deviant_rol)] for t in config.types}
     StrategyProfile("per-type", deviation).validate(config)
@@ -759,15 +744,22 @@ def simulate_rounds(config, profile, rounds, seed, log_cap=100):
 def play_fixed_round(config, rols_by_rank, scores):
     """Replay one experiment-2 round from fixed scores and by-rank ROLs.
 
-    Bundle admits with several open seats are enumerated, so the return is
-    the list of (probability, record) branches; deterministic draws yield a
-    single branch.
+    `scores` gives each student's score by index; they must be
+    `n_students` distinct numbers.  Bundle admits with several open seats
+    are enumerated, so the return is the list of (probability, record)
+    branches; deterministic draws yield a single branch.
     """
-    scores = [scores[i] for i in range(config.n_students)]
-    order, rols = _by_rank(rols_by_rank, scores)
-    branches = assignment_branches(config, dict(enumerate(rols)), order)
+    lists = StrategyProfile("by-rank", rols_by_rank).validate(config).strategies
+    n = config.n_students
+    if len(scores) == n:
+        scores = [scores[i] for i in range(n)]
+    if (len(scores) != n or len(set(scores)) != n
+            or not all(isinstance(x, Real) for x in scores)):
+        raise ValueError(f"scores must be {n} distinct numbers")
+    order, rols = _by_rank(lists, scores)
     out = []
-    for weight, assignment in branches:
+    for weight, seats in _ranked_branches(config, lists, {}):
+        assignment = {order[r]: seat for r, seat in seats.items()}
         record = _round_record(config, None, order, assignment, scores)
         record["rols"] = dict(enumerate(rols))
         out.append((weight, record))

@@ -13,7 +13,9 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
-from bundlechoice.experiments import _metrics, assignment_branches
+from admission_reference import assignment_branches
+
+from bundlechoice.experiments import _metrics
 
 
 def round_record(config, types, priority, assignment):

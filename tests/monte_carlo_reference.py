@@ -13,9 +13,8 @@ components and the same log.
 from itertools import permutations
 
 import numpy as np
+from admission_reference import assignment_branches
 from exact_reference import fold, round_record
-
-from bundlechoice.experiments import assignment_branches
 
 
 def cut_points(branches):

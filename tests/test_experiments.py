@@ -6,6 +6,7 @@ the package under test.
 """
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from itertools import permutations, product
 from math import prod
 from pathlib import Path
 
+import admission_reference
 import exact_reference
 import exp1_oracle as oracle
 import monte_carlo_reference
@@ -43,13 +45,12 @@ from bundlechoice import (
     sample_scores,
     simulate_rounds,
 )
-from bundlechoice import experiments
+from bundlechoice import engines, experiments
 from bundlechoice.experiments import (
     SCORE_GROUP_LIMIT,
     _distinct_scores,
     _normal_stream,
     _ranked_branches,
-    assignment_branches,
     serial_admission,
 )
 
@@ -114,7 +115,8 @@ def _per_list_deviation_value(config, profile, deviant_type, deviant_rol):
             weight = type_weight * prod(p for p, _ in combo) / len(orders)
             rols = {i: rol for i, (_, rol) in zip(students, combo)}
             for order in orders:
-                for w, seats in assignment_branches(config, rols, order):
+                for w, seats in admission_reference.assignment_branches(
+                        config, rols, order):
                     value += weight * w * config.payoff(deviant_type, seats[0])
     return value
 
@@ -456,20 +458,27 @@ ALL_CONFIGS = pytest.mark.parametrize("config", [
 @ALL_CONFIGS
 def test_serial_admission_admits_as_the_engine_does(config):
     """On every treatment, with random lists (empty ones included) and random
-    priority orders, the experiments' own admission seats every student
-    where bundle deferred acceptance seats her on the round's instance, and
-    holds each bundle's admits in priority order."""
+    priority orders, admission in rank space seats each rank's student where
+    bundle deferred acceptance seats that student on the round's instance,
+    and gives the reference admission's seats, each bundle's admits in
+    priority order and each bundle's open seats."""
     rng = np.random.default_rng(9090 + config.exp)
     lists = [(), *feasible_rols(config)]
     for _ in range(300):
         rols = {i: lists[rng.integers(len(lists))] for i in range(config.n_students)}
         order = tuple(int(i) for i in rng.permutation(config.n_students))
-        outcome, holders, _ = serial_admission(config, rols, order)
+        held, free = serial_admission(config, tuple(rols[i] for i in order))
+        assert list(held) == sorted(held)
+        seated = {order[r]: option for r, option in held.items()}
         nu, _ = run_bundle_da(round_instance(config, order),
                               experiment_rols_for_instance(rols))
-        assert nu.as_dict() == {f"p{i + 1}": outcome[i] for i in outcome}
-        assert holders == {bid: [i for i in order if nu[f"p{i + 1}"] == bid]
+        assert nu.as_dict() == {f"p{i + 1}": seated.get(i) for i in rols}
+        outcome, holders, ref_free = admission_reference.serial_admission(
+            config, rols, order)
+        assert seated == {i: option for i, option in outcome.items() if option}
+        assert holders == {bid: [i for i in seated if seated[i] == bid]
                            for bid in config.bundles}
+        assert free == ref_free
 
 
 @ALL_CONFIGS
@@ -491,22 +500,20 @@ def test_ranked_branches_relabel_to_per_order_admission(config):
             rols = {i: ranked[r] for r, i in enumerate(order)}
             relabelled = [(w, list(zip(order, seats.values())))
                           for w, seats in _ranked_branches(config, ranked, memo)]
-            expected = [(w, list(seats.items()))
-                        for w, seats in assignment_branches(config, rols, order)]
+            expected = [(w, list(seats.items())) for w, seats
+                        in admission_reference.assignment_branches(config, rols, order)]
             assert relabelled == expected, (rols, order)
     assert len(memo) <= 300
 
 
 def _admission_runs(monkeypatch):
     """A list that records each `serial_admission` run's lists in priority
-    order, and asserts that the run is in rank space."""
+    rank."""
     runs = []
 
-    def counted(config, rols, order):
-        order = tuple(order)
-        assert order == tuple(range(config.n_students))
-        runs.append(tuple(rols.get(i, ()) for i in order))
-        return serial_admission(config, rols, order)
+    def counted(config, lists):
+        runs.append(lists)
+        return serial_admission(config, lists)
 
     monkeypatch.setattr(experiments, "serial_admission", counted)
     return runs
@@ -551,6 +558,73 @@ def test_admission_runs_once_per_ranked_tuple_within_a_call(monkeypatch):
         runs.clear()
         call()
         assert runs == first
+
+
+def test_admission_never_displaces_a_holder(monkeypatch):
+    """Keys rise with rank, so every placement the experiments' admission
+    makes is admitted or refused: on random ranked tuples on every treatment,
+    and in one `simulate_rounds` and one `equilibrium_verify` call,
+    `_Seats._drop` is never called and `place` returns None or the rank it
+    placed."""
+    place, drop = engines._Seats.place, engines._Seats._drop
+    placed, dropped = [], []
+
+    def recorded_place(seats, i, b):
+        placed.append((i, place(seats, i, b)))
+        return placed[-1][1]
+
+    def recorded_drop(seats, i):
+        dropped.append(i)
+        drop(seats, i)
+
+    monkeypatch.setattr(engines._Seats, "place", recorded_place)
+    monkeypatch.setattr(engines._Seats, "_drop", recorded_drop)
+    rng = np.random.default_rng(5050)
+    for config in (*(Exp1Config(t) for t in Exp1Config.TREATMENTS),
+                   *(Exp2Config(t) for t in Exp2Config.TREATMENTS)):
+        lists = [(), *feasible_rols(config)]
+        for _ in range(200):
+            serial_admission(config, tuple(
+                lists[k] for k in rng.integers(len(lists), size=config.n_students)))
+    strict = Exp2Config("strict-bundle")
+    simulate_rounds(strict, StrategyProfile("by-rank", DEF_LISTING).validate(strict), 50, 3)
+    equilibrium_verify(Exp1Config("indiff-bundle"))
+    assert placed and not dropped
+    assert all(out in (None, i) for i, out in placed)
+
+
+SCORES = (99, 95, 90, 85, 80, 75)
+NO_BUNDLE = Exp2Config("nobundle")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: play_fixed_round(Exp1Config("nobundle-one"), [("A",)] * 3, SCORES[:3]),
+     "experiment 1 does not take a by-rank profile"),
+    (lambda: play_fixed_round(NO_BUNDLE, [("Z",), *WORKED_ROLS[1:]], SCORES),
+     "option 'Z' is not on the menu"),
+    (lambda: play_fixed_round(NO_BUNDLE, WORKED_ROLS[:3], SCORES),
+     "by-rank profile must cover every score rank"),
+    (lambda: play_fixed_round(NO_BUNDLE, [("A", "B", "C"), *WORKED_ROLS[1:]], SCORES),
+     "ROL ('A', 'B', 'C') violates the length limit"),
+    (lambda: play_fixed_round(NO_BUNDLE, [(), *WORKED_ROLS[1:]], SCORES),
+     "ROL () violates the length limit"),
+    (lambda: play_fixed_round(NO_BUNDLE, WORKED_ROLS, (99, 95, 90, 85, 80, 99)),
+     "scores must be 6 distinct numbers"),
+    (lambda: play_fixed_round(NO_BUNDLE, WORKED_ROLS, SCORES[:5]),
+     "scores must be 6 distinct numbers"),
+    (lambda: play_fixed_round(NO_BUNDLE, WORKED_ROLS, (*SCORES, 70)),
+     "scores must be 6 distinct numbers"),
+    (lambda: play_fixed_round(NO_BUNDLE, WORKED_ROLS, "abcdef"),
+     "scores must be 6 distinct numbers"),
+    (lambda: exp1_deviation_value(Exp1Config("nobundle-one"), equilibrium_profile(
+        Exp1Config("nobundle-one")), "Z", ("A",)),
+     "unknown payoff type 'Z' (expected one of A, B)"),
+], ids=["exp1-config", "off-menu", "too-few-lists", "too-long-list", "empty-list",
+        "tied-scores", "too-few-scores", "too-many-scores", "not-numbers",
+        "unknown-deviant-type"])
+def test_bad_fixed_rounds_and_deviations_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("treatment", sorted(TABLE_1))
