@@ -242,7 +242,8 @@ def serial_admission(config, lists):
     `lists[r]` is the list of the student ranked r (0 = first).  Each rank's
     entries are placed, in order, into the engines' `_Seats`, keyed by the
     rank.  Keys rise with rank, so a placement is admitted or refused and
-    never displaces a holder: the first run of deferred acceptance settles.
+    never displaces a holder: placing rank after rank is deferred acceptance
+    under the common priority, which is serial dictatorship.
     Returns (held, free): held maps each seated rank to its school or bundle,
     in rank order; free maps each bundle to its schools with a seat still
     open for the within-bundle assignment.
@@ -277,8 +278,7 @@ def _ranked_branches(config, lists, memo):
     branches = memo.get(lists)
     if branches is None:
         held, free = serial_admission(config, lists)
-        seated = {r: None if held.get(r) in config.bundles else held.get(r)
-                  for r in range(len(lists))}
+        seated = {r: held.get(r) for r in range(len(lists))}  # bundles get seats below
         admits = []
         for bid in config.bundles:
             ranks = [r for r, option in held.items() if option == bid]

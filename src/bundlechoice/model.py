@@ -21,7 +21,8 @@ A laminar bundle system is a forest under containment.  `BundleTree`, built
 once per market from the bundles containing each school, holds every
 bundle's chain (it and the bundles containing it), descendants, root and
 nested quota (its schools' total quota).  It only describes containment:
-the engines and the experiment games count seats along its chains.
+the engines' `_Seats` counts seats along its chains, for the engines and
+the experiment games alike.
 """
 
 from dataclasses import dataclass, field
